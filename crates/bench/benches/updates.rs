@@ -186,7 +186,8 @@ fn main() {
         let count = base.len() * pct / 100;
         let batch = fresh_records(&base, count, pct as u64);
 
-        // IF: decode + extend + rewrite the affected lists, then compact.
+        // IF: encode the new postings and append them behind each
+        // affected list's end (a full list moves to a larger run).
         // Cost = measured CPU + simulated write/read I/O.
         let mut ifile = invfile::InvertedFile::build(&base);
         ifile.pager().clear_cache();

@@ -73,9 +73,21 @@ impl PostingsEncoder {
     }
 
     pub fn with_mode(mode: Compression) -> Self {
+        Self::resume(mode, None)
+    }
+
+    /// An encoder that *continues* a stream whose last posting had id
+    /// `last_id` (`None`: the stream is empty so far). The d-gap stream is
+    /// prefix-stable — the bytes of a posting depend only on its
+    /// predecessor's id — so for every split `k` of a sorted list `L`,
+    /// `encode(L[..k]) ++ resume(mode, last id of L[..k]).encode(L[k..])`
+    /// equals `encode(L)`. That is what lets an inverted list grow by
+    /// appending bytes instead of being re-encoded. `Raw` postings are
+    /// self-contained and ignore `last_id`.
+    pub fn resume(mode: Compression, last_id: Option<u64>) -> Self {
         PostingsEncoder {
             buf: Vec::new(),
-            prev_id: None,
+            prev_id: last_id,
             count: 0,
             mode,
         }
@@ -127,6 +139,12 @@ impl PostingsEncoder {
 
     pub fn is_empty(&self) -> bool {
         self.count == 0
+    }
+
+    /// Id of the stream's last posting so far — what a later
+    /// [`PostingsEncoder::resume`] continues from.
+    pub fn last_id(&self) -> Option<u64> {
+        self.prev_id
     }
 
     /// Finish and take the encoded bytes.
@@ -304,7 +322,41 @@ mod tests {
         assert!(last.is_err());
     }
 
+    #[test]
+    fn resume_after_none_is_a_fresh_stream() {
+        let ps = sample();
+        for mode in [Compression::VByteDGap, Compression::Raw] {
+            let mut e = PostingsEncoder::resume(mode, None);
+            ps.iter().for_each(|&p| e.push(p));
+            assert_eq!(e.count(), ps.len(), "count covers only resumed postings");
+            assert_eq!(e.last_id(), Some(18));
+            assert_eq!(e.finish(), encode_postings_mode(&ps, mode));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn resume_split_concatenates_to_the_whole_encoding(
+            ids in proptest::collection::btree_set(any::<u64>(), 0..120),
+            lens in proptest::collection::vec(1u32..100_000, 120),
+            cut in any::<usize>(),
+        ) {
+            let ps: Vec<Posting> = ids
+                .iter()
+                .zip(lens.iter())
+                .map(|(&id, &len)| Posting::new(id, len))
+                .collect();
+            let k = cut % (ps.len() + 1);
+            for mode in [Compression::VByteDGap, Compression::Raw] {
+                let mut bytes = encode_postings_mode(&ps[..k], mode);
+                let mut tail = PostingsEncoder::resume(mode, ps[..k].last().map(|p| p.id));
+                ps[k..].iter().for_each(|&p| tail.push(p));
+                prop_assert_eq!(tail.count(), ps.len() - k);
+                bytes.extend_from_slice(&tail.finish());
+                prop_assert_eq!(bytes, encode_postings_mode(&ps, mode), "split at {}", k);
+            }
+        }
+
         #[test]
         fn round_trip_any_sorted_list(
             ids in proptest::collection::btree_set(any::<u32>(), 0..200),

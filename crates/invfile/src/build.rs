@@ -41,8 +41,10 @@ pub fn build(dataset: &Dataset, pager: Pager, compression: Compression) -> Inver
 
     let mut store = heapfile::HeapFile::create(pager);
     let mut postings_per_item = Vec::with_capacity(dataset.vocab_size);
+    let mut last_id_per_item = Vec::with_capacity(dataset.vocab_size);
     for (item, enc) in encoders.into_iter().enumerate() {
         postings_per_item.push(enc.count() as u64);
+        last_id_per_item.push(enc.last_id());
         if !enc.is_empty() {
             store.put(item as u32, &enc.finish());
         }
@@ -52,6 +54,7 @@ pub fn build(dataset: &Dataset, pager: Pager, compression: Compression) -> Inver
         store,
         postings_per_item,
         min_len_per_item,
+        last_id_per_item,
         num_records: dataset.records.len() as u64,
         vocab_size: dataset.vocab_size,
         compression,

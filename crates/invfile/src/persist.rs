@@ -18,8 +18,10 @@ pub const CATALOG_KEY: &str = "invfile";
 
 /// * v1 — pre-length-summary format. Still readable: such indexes open
 ///   and answer every predicate, with superset pruning disabled.
-/// * v2 — v1 plus the per-item minimum record lengths appended.
-const STATE_VERSION: u32 = 2;
+/// * v2 — v1 plus the per-item minimum record lengths appended. Still
+///   readable: each list's last id is learned on its first append.
+/// * v3 — v2 plus the last posting id of each of the `vocab_size` lists.
+const STATE_VERSION: u32 = 3;
 
 impl InvertedFile {
     /// Serialize the non-paged state into the storage catalog and sync the
@@ -37,10 +39,10 @@ impl InvertedFile {
         self.pager().sync()
     }
 
-    /// Serialize at an explicit format version. v1 stays writable so the
-    /// pre-summary compatibility path is covered by tests without binary
+    /// Serialize at an explicit format version. v1 and v2 stay writable so
+    /// the compatibility paths are covered by tests without binary
     /// fixtures.
-    fn state_bytes_versioned(&self, version: u32) -> Vec<u8> {
+    pub(crate) fn state_bytes_versioned(&self, version: u32) -> Vec<u8> {
         assert!((1..=STATE_VERSION).contains(&version));
         let mut w = Writer::new();
         w.u32(version);
@@ -52,6 +54,11 @@ impl InvertedFile {
         w.bytes(&self.store.state_bytes());
         if version >= 2 {
             w.u32s(&self.min_len_per_item);
+        }
+        if version >= 3 {
+            for &last in &self.last_id_per_item {
+                w.opt_u64(last);
+            }
         }
         w.into_bytes()
     }
@@ -83,6 +90,12 @@ impl InvertedFile {
         } else {
             Vec::new() // pre-summary file: opens fine, pruning stays off
         };
+        let mut last_id_per_item = vec![None; vocab_size];
+        if version >= 3 {
+            for last in &mut last_id_per_item {
+                *last = r.opt_u64()?;
+            }
+        }
         if !r.is_exhausted() {
             return None;
         }
@@ -90,6 +103,7 @@ impl InvertedFile {
             store,
             postings_per_item,
             min_len_per_item,
+            last_id_per_item,
             num_records,
             vocab_size,
             compression,

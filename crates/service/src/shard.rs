@@ -310,7 +310,7 @@ impl Shard {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`Shard::apply_insert`], staging list rewrites
+    /// Fallible twin of [`Shard::apply_insert`], staging list appends
     /// across `threads` workers when the pool's concurrent write path is
     /// enabled. On error no statistic or planner state has changed — the
     /// inverted file's two-phase batch leaves reads exact — so the shard

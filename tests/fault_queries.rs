@@ -308,7 +308,7 @@ fn write_faults_mid_batch_surface_typed_and_reads_stay_exact() {
     let records_before = inv.num_records();
     let supports_before: Vec<u64> = (0..60).map(|i| inv.support(i)).collect();
 
-    // From here every physical write fails. List rewrites evict dirty
+    // From here every physical write fails. List appends evict dirty
     // staged pages through the 8-frame pool, so a batch insert must hit a
     // failed write-back, exhaust the bounded retry and degrade the pool.
     let ops = h.ops();
@@ -325,12 +325,12 @@ fn write_faults_mid_batch_surface_typed_and_reads_stay_exact() {
         match inv.try_batch_insert(&batch, 1) {
             Ok(()) => continue,
             Err(e) => {
-                failed = Some(e);
+                failed = Some((e, batch));
                 break;
             }
         }
     }
-    let err = failed.expect("a dead write medium must fail a batch");
+    let (err, failed_batch) = failed.expect("a dead write medium must fail a batch");
     assert!(
         matches!(
             err,
@@ -354,14 +354,45 @@ fn write_faults_mid_batch_surface_typed_and_reads_stay_exact() {
         Err(PageError::ReadOnly { .. })
     ));
 
-    // Reads still serve, bit-for-bit — the staged orphan runs are
-    // invisible because the directory never saw the failed batch.
+    // Reads still serve, bit-for-bit — the bytes the failed batch staged
+    // lie behind each list's visible end (or in runs no list owns), and
+    // the directory never saw the failed batch.
     for (kind, qs) in &reference {
         for (q, want) in qs {
             let got = ContainmentIndex::try_eval(&inv, *kind, q)
                 .unwrap_or_else(|e| panic!("[write faults] {kind:?} {q:?}: {e}"));
             assert_eq!(&got, want, "[write faults] {kind:?} {q:?}");
         }
+    }
+
+    // Heal the medium and re-apply the *same* batch: the appends start
+    // again at each list's visible end, overwriting the stale staged
+    // bytes — which must never be read. Every list then equals the
+    // oracle's (a from-scratch build over base + batch), before and after
+    // the healed state goes through persist + reopen.
+    h.set_fault_config(FaultConfig::default());
+    assert!(pager.clear_degraded());
+    inv.try_batch_insert(&failed_batch, 1)
+        .expect("healed medium accepts the batch");
+    let mut all = d.clone();
+    all.records.extend(failed_batch);
+    let oracle = InvertedFile::build(&all);
+    inv.persist().expect("healed persist");
+    let reopened = InvertedFile::open(pager.clone()).expect("persisted index reopens");
+    assert_eq!(inv.num_records(), oracle.num_records());
+    for item in 0..60u32 {
+        let want = oracle.subset(&[item]);
+        assert_eq!(inv.support(item), oracle.support(item), "support of {item}");
+        assert_eq!(inv.subset(&[item]), want, "list {item} after re-apply");
+        assert_eq!(reopened.subset(&[item]), want, "list {item} after reopen");
+        // The batch's own item sets, as (sorted, distinct) equality
+        // queries: the appended postings carry the right lengths.
+        let pair = Record::new(0, vec![item, (item * 7) % 60]).items;
+        assert_eq!(
+            inv.equality(&pair),
+            oracle.equality(&pair),
+            "lengths in list {item}"
+        );
     }
 }
 
