@@ -1,10 +1,7 @@
-//! §4.4 + §5 "Performance summary" — batch update cost, IF vs OIF —
-//! plus the concurrent write path: B⁺-tree batch-insert throughput at
-//! 1/2/4/8 writers (optimistic lock coupling, `set_concurrent_writes`)
-//! and a 90/10 mixed read-write leg. Prints one table row per point
-//! and, when the `BENCH_JSON` environment variable names a file, writes
-//! the same rows as a JSON array (the CI workflow emits
-//! `BENCH_updates.json` this way).
+//! §4.4 + §5 "Performance summary" — batch update cost, IF vs OIF.
+//! Prints one table row per batch size and, when the `BENCH_JSON`
+//! environment variable names a file, writes the same rows as a JSON
+//! array (the CI workflow emits `BENCH_updates.json` this way).
 //!
 //! Paper claims to reproduce:
 //! * "OIF has 3-5× slower update times than IF and it behaves practically
@@ -32,137 +29,6 @@ fn fresh_records(base: &datagen::Dataset, count: usize, seed: u64) -> Vec<Record
             Record::new(start + i as u64, items)
         })
         .collect()
-}
-
-struct Row {
-    name: String,
-    ops: usize,
-    kops_per_s: f64,
-}
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Hash-distributed 8-byte key for entry `i` of key space `space` —
-/// random-looking keys spread writers across leaves instead of piling
-/// every insert onto the rightmost page.
-fn key(space: u64, i: u64) -> [u8; 8] {
-    splitmix(space << 32 | i).to_be_bytes()
-}
-
-fn seeded_mem_tree(seed_entries: u64) -> btree::BTree {
-    let pager = pagestore::Pager::with_cache_bytes(1 << 21);
-    pager.set_concurrent_writes(true);
-    let mut t = btree::BTree::create(pager);
-    for i in 0..seed_entries {
-        t.insert(&key(0, i), &i.to_le_bytes()).unwrap();
-    }
-    t
-}
-
-/// B⁺-tree durable write throughput: N writer threads share one
-/// OLC-enabled tree on a `FileStorage` pool; each writer repeatedly
-/// batch-inserts a chunk of fresh hash-distributed keys and makes it
-/// durable with `group_sync`. The total insert count is fixed, so more
-/// writers win exactly as far as overlapping commits amortise barriers
-/// (group commit) and fsync stalls overlap with other writers' inserts
-/// — the same effect `bench --bench commit` isolates, here measured end
-/// to end through the tree's concurrent write path.
-fn run_writers(writers: usize, rows: &mut Vec<Row>) {
-    const SEED: u64 = 4_000;
-    const ROUNDS_TOTAL: u64 = 24; // divisible by 1, 2, 4, 8
-    const CHUNK: u64 = 250;
-    let path = std::env::temp_dir().join(format!(
-        "oif-bench-updates-t{writers}-{}.db",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let storage = pagestore::FileStorage::create(&path).expect("create pool file");
-    let pager = pagestore::Pager::with_storage(storage, 1 << 21);
-    pager.set_concurrent_writes(true);
-    let tree = {
-        let mut t = btree::BTree::create(pager.clone());
-        for i in 0..SEED {
-            t.insert(&key(0, i), &i.to_le_bytes()).unwrap();
-        }
-        t
-    };
-    pager.sync().expect("warm-up sync");
-
-    let rounds = ROUNDS_TOTAL / writers as u64;
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for w in 0..writers as u64 {
-            let (tree, pager) = (&tree, &pager);
-            s.spawn(move || {
-                for round in 0..rounds {
-                    let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..CHUNK)
-                        .map(|i| {
-                            let k = key(10 + w, round * CHUNK + i);
-                            (k.to_vec(), i.to_le_bytes().to_vec())
-                        })
-                        .collect();
-                    tree.try_batch_insert(&batch, 1).expect("batch insert");
-                    pager.group_sync().expect("group sync");
-                }
-            });
-        }
-    });
-    let wall = t0.elapsed();
-    tree.check_invariants();
-    let _ = std::fs::remove_file(&path);
-    let inserts = ROUNDS_TOTAL * CHUNK;
-    let kops = inserts as f64 / wall.as_secs_f64() / 1e3;
-    println!(
-        "writers t{writers} | {inserts:>6} durable inserts | {wall:>9.2?} | {kops:>8.1} kops/s"
-    );
-    rows.push(Row {
-        name: format!("writers_t{writers}"),
-        ops: inserts as usize,
-        kops_per_s: kops,
-    });
-}
-
-/// 90/10 mixed leg: 4 threads, each interleaving 90 % point gets of
-/// seeded keys with 10 % fresh inserts, all on one shared in-memory OLC
-/// tree.
-fn run_mixed(rows: &mut Vec<Row>) {
-    const SEED: u64 = 10_000;
-    const THREADS: usize = 4;
-    const OPS_PER_THREAD: u64 = 12_000;
-    let tree = seeded_mem_tree(SEED);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..THREADS as u64 {
-            let tree = &tree;
-            s.spawn(move || {
-                for i in 0..OPS_PER_THREAD {
-                    if i % 10 == 0 {
-                        let k = key(2 + t, i);
-                        tree.try_insert(&k, &i.to_le_bytes()).expect("insert");
-                    } else {
-                        let k = key(0, splitmix(t << 20 | i) % SEED);
-                        let got = tree.try_get(&k).expect("get");
-                        assert!(got.is_some(), "lost seed record");
-                    }
-                }
-            });
-        }
-    });
-    let wall = t0.elapsed();
-    tree.check_invariants();
-    let ops = THREADS as u64 * OPS_PER_THREAD;
-    let kops = ops as f64 / wall.as_secs_f64() / 1e3;
-    println!("mixed 90r/10w t{THREADS} | {ops:>6} ops     | {wall:>9.2?} | {kops:>8.1} kops/s");
-    rows.push(Row {
-        name: format!("mixed_90r10w_t{THREADS}"),
-        ops: ops as usize,
-        kops_per_s: kops,
-    });
 }
 
 fn main() {
@@ -232,38 +98,13 @@ fn main() {
     }
     println!("\npaper: OIF updates 3-5x slower than IF, both linear in batch size");
 
-    println!("\nconcurrent write path (OLC + group commit, fresh hashed keys):");
-    let mut rows = Vec::new();
-    for writers in [1usize, 2, 4, 8] {
-        run_writers(writers, &mut rows);
-    }
-    run_mixed(&mut rows);
-    let t1 = rows.iter().find(|r| r.name == "writers_t1").unwrap();
-    for r in rows.iter().filter(|r| r.name.starts_with("writers_t")) {
-        if r.name != "writers_t1" {
-            println!(
-                "{}: {:.2}x over single writer",
-                r.name,
-                r.kops_per_s / t1.kops_per_s
-            );
-        }
-    }
-
     if let Some(path) = std::env::var_os("BENCH_JSON") {
         let mut json = String::from("[\n");
-        for (pct, if_ms, oif_ms) in &ratio_rows {
+        for (i, (pct, if_ms, oif_ms)) in ratio_rows.iter().enumerate() {
             json.push_str(&format!(
                 "  {{\"name\": \"updates/batch_{pct}pct\", \"if_ms_per_rec\": {if_ms:.4}, \
-                 \"oif_ms_per_rec\": {oif_ms:.4}}},\n",
-            ));
-        }
-        for (i, r) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "  {{\"name\": \"updates/{n}\", \"ops\": {ops}, \"kops_per_s\": {k:.2}}}{comma}\n",
-                n = r.name,
-                ops = r.ops,
-                k = r.kops_per_s,
-                comma = if i + 1 == rows.len() { "" } else { "," },
+                 \"oif_ms_per_rec\": {oif_ms:.4}}}{comma}\n",
+                comma = if i + 1 == ratio_rows.len() { "" } else { "," },
             ));
         }
         json.push_str("]\n");

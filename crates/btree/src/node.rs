@@ -13,9 +13,8 @@
 //!
 //! Two views share this layout:
 //!
-//! * [`Node`] — owned decode, used by the **write path** (insert, remove,
-//!   split, bulk load): mutation re-encodes the whole page anyway, so the
-//!   simple owned form costs nothing extra there.
+//! * [`Node`] — owned decode, used where a node is rebuilt whole: splits,
+//!   internal-node updates and the bulk loader.
 //! * [`NodeRef`] — a lazy **read-path** view over the raw page bytes (as
 //!   borrowed from a pinned buffer-pool frame). It materialises nothing:
 //!   an [`OffsetTable`] of entry positions is built in one header-hopping
@@ -24,6 +23,12 @@
 //!   therefore performs no per-entry allocation at all, while the on-disk
 //!   layout — and hence the page-access counts the paper measures — is
 //!   unchanged.
+//!
+//! Leaf edits that need no split go through the slotted in-place editors
+//! ([`leaf_insert_at`], [`leaf_replace_at`], [`leaf_remove_at`]): they
+//! shift only the entries behind the edit and zero any bytes they vacate,
+//! so the page comes out byte-for-byte what re-encoding the owned
+//! [`Node`] would write.
 
 use pagestore::{PageId, PAGE_SIZE};
 
@@ -258,10 +263,10 @@ pub(crate) fn leaf_used_bytes(data: &[u8], table: &OffsetTable) -> usize {
 
 /// In-place leaf edit: insert `key`/`value` as entry `i`, shifting the tail
 /// right. The caller has checked the fit ([`leaf_used_bytes`] plus the new
-/// entry ≤ [`PAGE_SIZE`]) and that `i` is the key's sorted position. These
-/// editors are the concurrent write path's alternative to decoding the page
-/// into an owned [`Node`] and re-encoding it whole: under a frame latch the
-/// edit touches only the shifted suffix.
+/// entry ≤ [`PAGE_SIZE`]) and that `i` is the key's sorted position. This
+/// is the insert path's alternative to decoding the page into an owned
+/// [`Node`] and re-encoding it whole: the edit touches only the shifted
+/// suffix.
 pub(crate) fn leaf_insert_at(
     data: &mut [u8; PAGE_SIZE],
     table: &OffsetTable,
@@ -284,7 +289,8 @@ pub(crate) fn leaf_insert_at(
 }
 
 /// In-place leaf edit: replace entry `i`'s value, shifting the tail by the
-/// length delta. The caller has checked the fit.
+/// length delta and zeroing the bytes a shorter value vacates. The caller
+/// has checked the fit.
 pub(crate) fn leaf_replace_at(
     data: &mut [u8; PAGE_SIZE],
     table: &OffsetTable,
@@ -304,9 +310,14 @@ pub(crate) fn leaf_replace_at(
     data.copy_within(val_start + old_vlen..used, val_start + value.len());
     data[pos + 2..pos + 4].copy_from_slice(&(value.len() as u16).to_le_bytes());
     data[val_start..val_start + value.len()].copy_from_slice(value);
+    let new_used = used - old_vlen + value.len();
+    if new_used < used {
+        data[new_used..used].fill(0);
+    }
 }
 
-/// In-place leaf edit: remove entry `i`, shifting the tail left.
+/// In-place leaf edit: remove entry `i`, shifting the tail left and zeroing
+/// the bytes it vacates.
 pub(crate) fn leaf_remove_at(data: &mut [u8; PAGE_SIZE], table: &OffsetTable, i: usize) {
     debug_assert_eq!(data[0], 0, "leaf_remove_at on a non-leaf page");
     let pos = table.get(i);
@@ -315,6 +326,7 @@ pub(crate) fn leaf_remove_at(data: &mut [u8; PAGE_SIZE], table: &OffsetTable, i:
     let end = pos + LEAF_ENTRY_HEADER + klen + vlen;
     let used = leaf_used_bytes(data, table);
     data.copy_within(end..used, pos);
+    data[used - (end - pos)..used].fill(0);
     data[1..3].copy_from_slice(&((table.len - 1) as u16).to_le_bytes());
 }
 
@@ -573,6 +585,13 @@ mod tests {
         n.encode().into_boxed_slice().try_into().unwrap()
     }
 
+    /// The edited page equals the owned rewrite byte for byte, slack
+    /// included.
+    fn assert_same_page(page: &[u8; PAGE_SIZE], owned: Node, at: usize) {
+        assert_eq!(Node::decode(&page[..]), owned, "at {at}");
+        assert!(page[..] == owned.encode()[..], "at {at}: bytes differ");
+    }
+
     fn filled_table(page: &[u8]) -> OffsetTable {
         let mut t = OffsetTable::new();
         NodeRef::new(page).fill_offsets(&mut t);
@@ -597,11 +616,7 @@ mod tests {
                     value: b"fresh".to_vec(),
                 },
             );
-            assert_eq!(
-                Node::decode(&page[..]),
-                Node::Leaf { entries, next },
-                "at {at}"
-            );
+            assert_same_page(&page, Node::Leaf { entries, next }, at);
         }
     }
 
@@ -610,16 +625,14 @@ mod tests {
         let mut page = page_of(&Node::empty_leaf());
         let table = filled_table(&page[..]);
         leaf_insert_at(&mut page, &table, 0, b"k", b"v");
-        assert_eq!(
-            Node::decode(&page[..]),
-            Node::Leaf {
-                entries: vec![LeafEntry {
-                    key: b"k".to_vec(),
-                    value: b"v".to_vec()
-                }],
-                next: None,
-            }
-        );
+        let owned = Node::Leaf {
+            entries: vec![LeafEntry {
+                key: b"k".to_vec(),
+                value: b"v".to_vec(),
+            }],
+            next: None,
+        };
+        assert_same_page(&page, owned, 0);
     }
 
     #[test]
@@ -639,11 +652,7 @@ mod tests {
                 unreachable!()
             };
             entries[at].value = val.to_vec();
-            assert_eq!(
-                Node::decode(&page[..]),
-                Node::Leaf { entries, next },
-                "at {at}"
-            );
+            assert_same_page(&page, Node::Leaf { entries, next }, at);
         }
     }
 
@@ -658,11 +667,7 @@ mod tests {
                 unreachable!()
             };
             entries.remove(at);
-            assert_eq!(
-                Node::decode(&page[..]),
-                Node::Leaf { entries, next },
-                "at {at}"
-            );
+            assert_same_page(&page, Node::Leaf { entries, next }, at);
         }
     }
 

@@ -1,24 +1,29 @@
 //! The B⁺-tree proper: lookups, inserts with split propagation, deletes.
 //!
-//! # Write paths
+//! # Write path
 //!
-//! Two write paths share the on-page layout:
+//! The tree is single-writer: [`BTree::try_insert`], [`BTree::try_remove`]
+//! and [`BTree::try_batch_insert`] take `&mut self`, while any number of
+//! readers may share `&BTree` between writes. A write is planned, then
+//! applied:
 //!
-//! * **Serial** (the default): the historical owned-decode path — read the
-//!   node, mutate the owned [`Node`], re-encode the whole page. Page-access
-//!   order is bit-for-bit what it has always been, which keeps the paper's
-//!   golden page counts reproducible.
-//! * **Concurrent** (opt-in via
-//!   [`Pager::set_concurrent_writes`](pagestore::Pager::set_concurrent_writes)):
-//!   optimistic lock coupling. Writers descend with version-validated
-//!   optimistic snapshots (restart on version change), latch only the leaf
-//!   at the mutation frontier, and edit it **in place** through the
-//!   [`OffsetTable`] view. Structure modifications (splits, root growth,
-//!   separator growth) serialise on a per-tree `smo` mutex and update
-//!   existing nodes top-down so every intermediate state a reader can
-//!   observe is a superset route; readers catch the rest by pairwise parent
-//!   validation plus a root-id recheck at the leaf. See DESIGN.md "Write
-//!   path & optimistic lock coupling".
+//! * **Plan.** Descend from the root, pinning every node on the path.
+//!   Compute each new node image: a leaf edit that fits, and every remove,
+//!   is applied to a copy of the pinned leaf by the slotted in-place
+//!   editors (`leaf_insert_at` and friends); only a split decodes into an
+//!   owned [`Node`]. Fresh pages for split siblings and a new root are
+//!   allocated and pinned too.
+//! * **Apply.** If the pool degraded to read-only while planning, return
+//!   [`PageError::ReadOnly`] with nothing written. Otherwise drop the pins
+//!   and write the images. Every target is cached, so every write is a
+//!   cache hit: no eviction write-back can fail, and degrade the pool,
+//!   between the first write and the last. `len`, `root` and `height`
+//!   change only after the last write.
+//!
+//! A faulted insert therefore leaves the tree exactly as it was (at worst
+//! with a few unreferenced fresh pages), never with a split half that its
+//! parent does not route to. See DESIGN.md "Write path: one writer, plan
+//! then apply".
 //!
 //! Every mutating operation has a fallible `try_` twin returning
 //! [`BTreeError::Page`] / [`PageError`] when the pool degrades read-only;
@@ -27,9 +32,7 @@
 use crate::node::{
     self, InternalEntry, LeafEntry, Node, NodeRef, OffsetTable, LEAF_ENTRY_HEADER, MAX_ENTRY_BYTES,
 };
-use pagestore::{FileId, PageError, PageGuard, PageId, Pager, VersionedPage, PAGE_SIZE};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use pagestore::{FileId, PageError, PageGuard, PageId, Pager, PAGE_SIZE};
 
 /// Errors returned by tree operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,45 +71,27 @@ impl From<PageError> for BTreeError {
     }
 }
 
-/// Fast-path restarts before an insert falls back to the serialised SMO
-/// path (which cannot starve: internals are stable under the `smo` lock).
-const FAST_PATH_RETRIES: usize = 64;
+/// A split handed up to the parent: `(left max key, new right page, right
+/// max key)`.
+type Split = (Vec<u8>, PageId, Vec<u8>);
 
-/// Outcome of one optimistic fast-path insert attempt.
-enum FastPath {
-    /// Applied in place under the leaf latch; previous value if replaced.
-    Done(Option<Vec<u8>>),
-    /// A version check failed — retry the descent.
-    Restart,
-    /// Needs a structure modification (split / separator growth).
-    Smo,
-}
-
-/// Where an optimistic descent ended up.
-pub(crate) enum Descent {
-    /// Reached a leaf with every pairwise parent validation passing and the
-    /// root unchanged; `parent` pins the leaf's parent for re-validation at
-    /// the mutation frontier (`None` when the root is the leaf).
-    Leaf {
-        page: PageId,
-        parent: Option<(VersionedPage, u64)>,
-    },
-    /// A version check failed along the way.
-    Restart,
+/// The pages one insert will write and the pins that keep them cached
+/// until it does.
+struct Plan {
+    /// `(page, new image)` in write order: bottom-up, each node before its
+    /// new right sibling.
+    writes: Vec<(PageId, Vec<u8>)>,
+    /// Pins on the freshly allocated pages among `writes`.
+    fresh: Vec<PageGuard>,
 }
 
 /// A disk-resident B⁺-tree. See the crate docs for the design.
 pub struct BTree {
     pager: Pager,
     file: FileId,
-    root: AtomicU64,
-    height: AtomicUsize,
-    len: AtomicU64,
-    /// Serialises structure modifications on the concurrent write path:
-    /// splits, root growth and separator growth all run under this lock, so
-    /// internal nodes only ever change while it is held (fast-path writers
-    /// edit strictly within one leaf and never move its max key).
-    smo: Mutex<()>,
+    root: PageId,
+    height: usize,
+    len: u64,
 }
 
 impl BTree {
@@ -128,16 +113,15 @@ impl BTree {
         BTree {
             pager,
             file,
-            root: AtomicU64::new(root),
-            height: AtomicUsize::new(height),
-            len: AtomicU64::new(len),
-            smo: Mutex::new(()),
+            root,
+            height,
+            len,
         }
     }
 
     /// Number of key/value entries stored.
     pub fn len(&self) -> u64 {
-        self.len.load(Ordering::Acquire)
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -146,7 +130,7 @@ impl BTree {
 
     /// Number of levels (1 = root is a leaf).
     pub fn height(&self) -> usize {
-        self.height.load(Ordering::Acquire)
+        self.height
     }
 
     /// Pages allocated to the tree's file (nodes, including freed slack).
@@ -170,11 +154,7 @@ impl BTree {
 
     /// Page id of the root node (within [`BTree::file`]).
     pub fn root_page(&self) -> PageId {
-        self.root.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn root(&self) -> PageId {
-        self.root.load(Ordering::Acquire)
+        self.root
     }
 
     /// Reopen a tree from persisted parts (see [`BTree::file`],
@@ -189,52 +169,8 @@ impl BTree {
         BTree::from_parts(pager, file, root, height, len)
     }
 
-    /// A page-sized scratch buffer for optimistic snapshots.
-    pub(crate) fn page_buf() -> Box<[u8; PAGE_SIZE]> {
-        vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap()
-    }
-
-    /// Owned decode of one node — the serial write path's view.
-    fn try_read_node(&self, page: PageId) -> Result<Node, PageError> {
-        self.pager.try_with_page(self.file, page, Node::decode)
-    }
-
-    fn try_write_node(&self, page: PageId, node: &Node) -> Result<(), PageError> {
-        self.pager.try_write_page(self.file, page, &node.encode())
-    }
-
-    /// Owned decode from a **consistent snapshot** — the concurrent path's
-    /// view of a node whose frame may be edited by a latched writer.
-    fn try_snapshot_node(&self, page: PageId) -> Result<Node, PageError> {
-        let vp = self.pager.try_pin_versioned(self.file, page)?;
-        let mut buf = Self::page_buf();
-        vp.snapshot_into(&mut buf);
-        Ok(Node::decode(&buf[..]))
-    }
-
-    /// Write a node through the frame latch + seqlock, so concurrent
-    /// optimistic readers either retry or see the complete image — never a
-    /// torn page. (`try_write_page` is unusable here: its unpinned-frame
-    /// assertion races reader pins, and it offers no torn-read protection.)
-    fn try_write_node_latched(&self, page: PageId, node: &Node) -> Result<(), PageError> {
-        let enc = node.encode();
-        self.pager
-            .try_with_page_mut(self.file, page, |bytes| bytes.copy_from_slice(&enc))
-    }
-
-    /// Snapshot one leaf page into `out` (concurrent-mode cursor hops).
-    pub(crate) fn try_snapshot_leaf(
-        &self,
-        page: PageId,
-        out: &mut [u8; PAGE_SIZE],
-    ) -> Result<(), PageError> {
-        let vp = self.pager.try_pin_versioned(self.file, page)?;
-        vp.snapshot_into(out);
-        Ok(())
-    }
-
-    /// Pin one node's page for zero-copy reading (the read path's view);
-    /// a page fault surfaces as a typed error instead of a panic.
+    /// Pin one node's page for zero-copy reading; a page fault surfaces as
+    /// a typed error instead of a panic.
     pub(crate) fn try_pin_node(&self, page: PageId) -> Result<PageGuard, PageError> {
         self.pager.try_pin_page(self.file, page)
     }
@@ -246,10 +182,33 @@ impl BTree {
         self.pager.try_with_page(self.file, page, |_| ())
     }
 
+    /// Descend to the leaf covering the monotone seek predicate `before`,
+    /// releasing each internal node's pin before its child is fetched.
+    /// Returns the leaf's page and its pin; `table` is left filled with
+    /// the leaf's entry offsets.
+    pub(crate) fn try_descend(
+        &self,
+        before: &impl Fn(&[u8]) -> bool,
+        table: &mut OffsetTable,
+    ) -> Result<(PageId, PageGuard), PageError> {
+        let mut page = self.root;
+        loop {
+            let guard = self.try_pin_node(page)?;
+            let node = NodeRef::new(guard.bytes());
+            node.fill_offsets(table);
+            if node.is_leaf() {
+                return Ok((page, guard));
+            }
+            let idx = node.partition_point(table, before).min(node.count() - 1);
+            page = node.child(table, idx);
+            // Guard drops here, before the child fetch.
+        }
+    }
+
     /// Exact-match lookup.
     ///
     /// The descent reads borrowed [`NodeRef`] views straight out of pinned
-    /// pages; only the returned value is copied. The leaf is read twice
+    /// pages; only the returned value is copied. The leaf is touched twice
     /// (descend + lookup) exactly like the historical owned-decode path, so
     /// buffer-pool state and page-access counts are unchanged.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -258,32 +217,11 @@ impl BTree {
 
     /// Fallible twin of [`BTree::get`]: a page fault anywhere along the
     /// descent surfaces as its typed [`PageError`] instead of a panic.
-    /// With the pool's concurrent write path off (the default) the access
-    /// pattern — and hence page-access counts — is identical to the
-    /// historical [`BTree::get`]; with it on, the descent switches to
-    /// version-validated snapshots.
     pub fn try_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        if self.pager.concurrent_writes() {
-            return self.olc_get(key);
-        }
         let mut table = OffsetTable::new();
-        let mut page = self.root();
-        let leaf_page = loop {
-            let guard = self.try_pin_node(page)?;
-            let node = NodeRef::new(guard.bytes());
-            if node.is_leaf() {
-                break page;
-            }
-            node.fill_offsets(&mut table);
-            let idx = node
-                .partition_point(&table, |sep| sep < key)
-                .min(node.count() - 1);
-            page = node.child(&table, idx);
-            // Guard drops here, before the child fetch.
-        };
-        let guard = self.try_pin_node(leaf_page)?;
+        let (leaf, guard) = self.try_descend(&|k: &[u8]| k < key, &mut table)?;
+        self.try_touch_node(leaf)?;
         let node = NodeRef::new(guard.bytes());
-        node.fill_offsets(&mut table);
         let idx = node.partition_point(&table, |k| k < key);
         if idx < node.count() {
             let (k, v) = node.leaf_entry(&table, idx);
@@ -299,72 +237,6 @@ impl BTree {
         self.get(key).is_some()
     }
 
-    /// One optimistic descent to the leaf covering the seek predicate.
-    ///
-    /// Restart discipline: after snapshotting a child, the parent's version
-    /// is re-validated — a failed check means an SMO touched the parent
-    /// since we read the child pointer from it, so the route may be stale.
-    /// At the leaf, the root id is rechecked: root growth halves the old
-    /// root *after* publishing the new one, so a descent that started from
-    /// the old root and saw it halved must restart (root page ids are never
-    /// recycled, so the compare cannot ABA). On success, `snap` holds a
-    /// consistent image of the leaf.
-    pub(crate) fn olc_descend(
-        &self,
-        before: &dyn Fn(&[u8]) -> bool,
-        snap: &mut [u8; PAGE_SIZE],
-    ) -> Result<Descent, PageError> {
-        let mut table = OffsetTable::new();
-        let start_root = self.root();
-        let mut page = start_root;
-        let mut parent: Option<(VersionedPage, u64)> = None;
-        loop {
-            let vp = self.pager.try_pin_versioned(self.file, page)?;
-            let version = vp.snapshot_into(snap);
-            if let Some((pvp, pver)) = &parent {
-                if !pvp.validate(*pver) {
-                    return Ok(Descent::Restart);
-                }
-            }
-            let node = NodeRef::new(&snap[..]);
-            if node.is_leaf() {
-                if self.root() != start_root {
-                    return Ok(Descent::Restart);
-                }
-                return Ok(Descent::Leaf { page, parent });
-            }
-            node.fill_offsets(&mut table);
-            let idx = node.partition_point(&table, before).min(node.count() - 1);
-            let child = node.child(&table, idx);
-            parent = Some((vp, version));
-            page = child;
-        }
-    }
-
-    /// Concurrent-mode point lookup: optimistic descent, answer straight
-    /// from the leaf snapshot.
-    fn olc_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        let mut snap = Self::page_buf();
-        loop {
-            match self.olc_descend(&|sep| sep < key, &mut snap)? {
-                Descent::Restart => continue,
-                Descent::Leaf { .. } => {
-                    let node = NodeRef::new(&snap[..]);
-                    let mut table = OffsetTable::new();
-                    node.fill_offsets(&mut table);
-                    let idx = node.partition_point(&table, |k| k < key);
-                    if idx < node.count() {
-                        let (k, v) = node.leaf_entry(&table, idx);
-                        if k == key {
-                            return Ok(Some(v.to_vec()));
-                        }
-                    }
-                    return Ok(None);
-                }
-            }
-        }
-    }
-
     /// Insert or replace `key`. Returns the previous value if any.
     ///
     /// Panics on a page fault (degraded pool); [`BTree::try_insert`] is the
@@ -376,348 +248,189 @@ impl BTree {
         }
     }
 
-    /// Fallible insert, callable through a shared reference: with the
-    /// pool's concurrent write path enabled, any number of threads may call
-    /// this against one tree.
-    pub fn try_insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
+    /// Fallible insert. On error the tree is unchanged: see the module
+    /// docs for the plan-then-apply protocol that guarantees it.
+    pub fn try_insert(&mut self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
         if key.len() + value.len() > MAX_ENTRY_BYTES {
             return Err(BTreeError::EntryTooLarge {
                 key_len: key.len(),
                 value_len: value.len(),
             });
         }
-        if self.pager.concurrent_writes() {
-            return self.olc_insert(key, value);
+        // Plan: pin the root-to-leaf path, so the writes below find every
+        // node still cached.
+        let mut table = OffsetTable::new();
+        let mut path: Vec<(PageId, PageGuard)> = Vec::with_capacity(self.height);
+        let mut page = self.root;
+        loop {
+            let guard = self.try_pin_node(page)?;
+            let node = NodeRef::new(guard.bytes());
+            let child = (!node.is_leaf()).then(|| {
+                node.fill_offsets(&mut table);
+                let idx = node
+                    .partition_point(&table, |sep| sep < key)
+                    .min(node.count() - 1);
+                node.child(&table, idx)
+            });
+            path.push((page, guard));
+            match child {
+                Some(child) => page = child,
+                None => break,
+            }
         }
-        let (old, split) = self.try_insert_rec(self.root(), key, value)?;
-        if old.is_none() {
-            self.len.fetch_add(1, Ordering::AcqRel);
-        }
-        if let Some((sep_left, right_page, sep_right)) = split {
-            // Root split: grow the tree by one level.
-            let old_root = self.root();
-            let new_root = self.pager.try_allocate_page(self.file)?;
-            let node = Node::Internal {
-                entries: vec![
+        let mut plan = Plan {
+            writes: Vec::new(),
+            fresh: Vec::new(),
+        };
+        let (leaf, leaf_guard) = path.last().expect("the path ends at a leaf");
+        let (old, mut split) =
+            self.plan_leaf(*leaf, leaf_guard.bytes(), key, value, &mut table, &mut plan)?;
+        for (page, guard) in path.iter().rev().skip(1) {
+            let Node::Internal { mut entries } = Node::decode(guard.bytes()) else {
+                unreachable!("a non-leaf page above the leaf")
+            };
+            let idx = entries
+                .partition_point(|e| e.separator.as_slice() < key)
+                .min(entries.len() - 1);
+            if let Some((left_max, right_page, right_max)) = split.take() {
+                entries[idx].separator = left_max;
+                entries.insert(
+                    idx + 1,
                     InternalEntry {
-                        separator: sep_left,
-                        child: old_root,
-                    },
-                    InternalEntry {
-                        separator: sep_right,
+                        separator: right_max,
                         child: right_page,
                     },
-                ],
-            };
-            self.try_write_node(new_root, &node)?;
-            self.root.store(new_root, Ordering::Release);
-            self.height.fetch_add(1, Ordering::AcqRel);
-        }
-        Ok(old)
-    }
-
-    /// Serial recursive insert. Returns `(previous value, split info)`
-    /// where split info is `(left max key, new right page, right max key)`
-    /// when `page` was split.
-    #[allow(clippy::type_complexity)]
-    fn try_insert_rec(
-        &self,
-        page: PageId,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<(Option<Vec<u8>>, Option<(Vec<u8>, PageId, Vec<u8>)>), PageError> {
-        let mut node = self.try_read_node(page)?;
-        let old = match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let old = std::mem::replace(&mut entries[i].value, value.to_vec());
-                        Some(old)
-                    }
-                    Err(i) => {
-                        entries.insert(
-                            i,
-                            LeafEntry {
-                                key: key.to_vec(),
-                                value: value.to_vec(),
-                            },
-                        );
-                        None
-                    }
-                }
+                );
+            } else if entries[idx].separator.as_slice() < key {
+                // Insert beyond the child's max: loosen its bound.
+                entries[idx].separator = key.to_vec();
+            } else {
+                // This separator already covers `key`, so every one above
+                // it does too.
+                break;
             }
-            Node::Internal { entries } => {
-                let idx = entries.partition_point(|e| e.separator.as_slice() < key);
-                let idx = idx.min(entries.len() - 1);
-                let child = entries[idx].child;
-                let (old, split) = self.try_insert_rec(child, key, value)?;
-                // The child's max key may have grown (insert beyond the last
-                // separator).
-                if let Some((left_max, right_page, right_max)) = split {
-                    entries[idx].separator = left_max;
-                    entries.insert(
-                        idx + 1,
+            split = self.plan_node(*page, Node::Internal { entries }, &mut plan)?;
+        }
+        let new_root = match split {
+            Some((left_max, right_page, right_max)) => {
+                // Root split: grow the tree by one level.
+                let new_root = self.try_allocate_pinned(&mut plan)?;
+                let node = Node::Internal {
+                    entries: vec![
+                        InternalEntry {
+                            separator: left_max,
+                            child: self.root,
+                        },
                         InternalEntry {
                             separator: right_max,
                             child: right_page,
                         },
-                    );
-                } else if entries[idx].separator.as_slice() < key {
-                    entries[idx].separator = key.to_vec();
-                }
-                old
+                    ],
+                };
+                plan.writes.push((new_root, node.encode()));
+                Some(new_root)
             }
+            None => None,
         };
-        if node.fits_in_page() {
-            self.try_write_node(page, &node)?;
+        // Apply: all or nothing.
+        if let Some(cause) = self.pager.degraded() {
+            return Err(PageError::ReadOnly { cause }.into());
+        }
+        drop(path);
+        drop(plan.fresh);
+        for (page, image) in &plan.writes {
+            self.pager.try_write_page(self.file, *page, image)?;
+        }
+        if old.is_none() {
+            self.len += 1;
+        }
+        if let Some(root) = new_root {
+            self.root = root;
+            self.height += 1;
+        }
+        Ok(old)
+    }
+
+    /// Plan the leaf edit of an insert. Returns the previous value and the
+    /// split to hand up, if any.
+    fn plan_leaf(
+        &self,
+        page: PageId,
+        bytes: &[u8],
+        key: &[u8],
+        value: &[u8],
+        table: &mut OffsetTable,
+        plan: &mut Plan,
+    ) -> Result<(Option<Vec<u8>>, Option<Split>), PageError> {
+        let view = NodeRef::new(bytes);
+        view.fill_offsets(table);
+        let pos = view.partition_point(table, |k| k < key);
+        let old = (pos < table.len())
+            .then(|| view.leaf_entry(table, pos))
+            .filter(|(k, _)| *k == key)
+            .map(|(_, v)| v.to_vec());
+        let used = node::leaf_used_bytes(bytes, table);
+        let grown = match &old {
+            Some(old) => used - old.len() + value.len(),
+            None => used + LEAF_ENTRY_HEADER + key.len() + value.len(),
+        };
+        if grown <= PAGE_SIZE {
+            let mut image = bytes.to_vec();
+            let data: &mut [u8; PAGE_SIZE] = image.as_mut_slice().try_into().expect("one page");
+            match old {
+                Some(_) => node::leaf_replace_at(data, table, pos, value),
+                None => node::leaf_insert_at(data, table, pos, key, value),
+            }
+            plan.writes.push((page, image));
             return Ok((old, None));
         }
-        // Overflow: split and hand the new sibling up to the parent.
+        let mut leaf = Node::decode(bytes);
+        let Node::Leaf { entries, .. } = &mut leaf else {
+            unreachable!("the descent ends at a leaf")
+        };
+        match old {
+            Some(_) => entries[pos].value = value.to_vec(),
+            None => entries.insert(
+                pos,
+                LeafEntry {
+                    key: key.to_vec(),
+                    value: value.to_vec(),
+                },
+            ),
+        }
+        Ok((old, self.plan_node(page, leaf, plan)?))
+    }
+
+    /// Plan the write of `node` to `page`, splitting it into a freshly
+    /// allocated right sibling when it overflows.
+    fn plan_node(
+        &self,
+        page: PageId,
+        mut node: Node,
+        plan: &mut Plan,
+    ) -> Result<Option<Split>, PageError> {
+        if node.fits_in_page() {
+            plan.writes.push((page, node.encode()));
+            return Ok(None);
+        }
         let right = node.split();
-        let right_page = self.pager.try_allocate_page(self.file)?;
+        let right_page = self.try_allocate_pinned(plan)?;
         if let Node::Leaf { next, .. } = &mut node {
             *next = Some(right_page);
         }
         let left_max = node.max_key().expect("split leaves entries").to_vec();
         let right_max = right.max_key().expect("split leaves entries").to_vec();
-        self.try_write_node(page, &node)?;
-        self.try_write_node(right_page, &right)?;
         debug_assert!(node.fits_in_page() && right.fits_in_page());
-        Ok((old, Some((left_max, right_page, right_max))))
+        plan.writes.push((page, node.encode()));
+        plan.writes.push((right_page, right.encode()));
+        Ok(Some((left_max, right_page, right_max)))
     }
 
-    /// Concurrent insert: bounded optimistic fast-path attempts, then the
-    /// serialised SMO path (needed for splits anyway, and a guaranteed
-    /// finish under contention).
-    fn olc_insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
-        for _ in 0..FAST_PATH_RETRIES {
-            match self.olc_fast_insert(key, value)? {
-                FastPath::Done(old) => {
-                    if old.is_none() {
-                        self.len.fetch_add(1, Ordering::AcqRel);
-                    }
-                    return Ok(old);
-                }
-                FastPath::Restart => continue,
-                FastPath::Smo => break,
-            }
-        }
-        let old = self.smo_insert(key, value)?;
-        if old.is_none() {
-            self.len.fetch_add(1, Ordering::AcqRel);
-        }
-        Ok(old)
-    }
-
-    /// One optimistic fast-path attempt: descend, then latch only the leaf
-    /// and edit it in place — valid exactly when the edit keys strictly
-    /// below the leaf's max key and fits, because then no separator or
-    /// structural change can be needed.
-    fn olc_fast_insert(&self, key: &[u8], value: &[u8]) -> Result<FastPath, BTreeError> {
-        let mut snap = Self::page_buf();
-        let (leaf, parent) = match self.olc_descend(&|sep| sep < key, &mut snap)? {
-            Descent::Restart => return Ok(FastPath::Restart),
-            Descent::Leaf { page, parent } => (page, parent),
-        };
-        let out = self.pager.try_with_page_mut(self.file, leaf, |bytes| {
-            // Re-validate routing *inside* the latch. The leaf cannot split
-            // under us now: an SMO holds this latch across the whole split,
-            // so an unchanged parent (or root id, at height 1) proves the
-            // descent's route is still current.
-            match &parent {
-                Some((pvp, pver)) => {
-                    if !pvp.validate(*pver) {
-                        return FastPath::Restart;
-                    }
-                }
-                None => {
-                    if self.root() != leaf {
-                        return FastPath::Restart;
-                    }
-                }
-            }
-            let mut table = OffsetTable::new();
-            let view = NodeRef::new(&bytes[..]);
-            if !view.is_leaf() {
-                return FastPath::Restart;
-            }
-            view.fill_offsets(&mut table);
-            let pos = view.partition_point(&table, |k| k < key);
-            let used = node::leaf_used_bytes(&bytes[..], &table);
-            if pos < table.len() {
-                let (k, v) = view.leaf_entry(&table, pos);
-                if k == key {
-                    let old = v.to_vec();
-                    if used - old.len() + value.len() <= PAGE_SIZE {
-                        node::leaf_replace_at(bytes, &table, pos, value);
-                        return FastPath::Done(Some(old));
-                    }
-                    return FastPath::Smo;
-                }
-                // Fresh key strictly below the leaf max: no separator moves.
-                if used + LEAF_ENTRY_HEADER + key.len() + value.len() <= PAGE_SIZE {
-                    node::leaf_insert_at(bytes, &table, pos, key, value);
-                    return FastPath::Done(None);
-                }
-            }
-            // Overflow, or the key would become the new leaf max (separator
-            // growth up the path): structure modification territory.
-            FastPath::Smo
-        })?;
-        Ok(out)
-    }
-
-    /// The serialised structure-modification insert. Fully general (also
-    /// handles edits the fast path could have done) so it doubles as the
-    /// contention fallback.
-    ///
-    /// Protocol: descend from the current root recording the internal path
-    /// from consistent snapshots — internals only change under the `smo`
-    /// lock we hold, so those snapshots stay current. All mutation then
-    /// happens while holding the *leaf's* frame latch: fresh right
-    /// siblings are written first (unreferenced, hence invisible), then
-    /// existing internal nodes top-down (a reader mid-descent either sees
-    /// a pre-update superset route or fails its pairwise validation), the
-    /// root pointer swings before the old root is halved, and the leaf
-    /// itself — whose seqlock has been odd throughout — is rewritten last
-    /// inside the closure.
-    fn smo_insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>, BTreeError> {
-        let _smo = self.smo.lock().unwrap_or_else(|e| e.into_inner());
-        let start_root = self.root();
-        let mut path: Vec<(PageId, usize, Vec<InternalEntry>)> = Vec::new();
-        let mut page = start_root;
-        loop {
-            match self.try_snapshot_node(page)? {
-                Node::Leaf { .. } => break,
-                Node::Internal { entries } => {
-                    let idx = entries
-                        .partition_point(|e| e.separator.as_slice() < key)
-                        .min(entries.len() - 1);
-                    let child = entries[idx].child;
-                    path.push((page, idx, entries));
-                    page = child;
-                }
-            }
-        }
-        let leaf = page;
-        self.pager.try_with_page_mut(self.file, leaf, |bytes| {
-            self.smo_apply(bytes, start_root, &mut path, key, value)
-        })?
-    }
-
-    /// Body of [`BTree::smo_insert`], run under the leaf's frame latch.
-    fn smo_apply(
-        &self,
-        bytes: &mut [u8; PAGE_SIZE],
-        start_root: PageId,
-        path: &mut Vec<(PageId, usize, Vec<InternalEntry>)>,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<Option<Vec<u8>>, BTreeError> {
-        let mut leaf_node = Node::decode(&bytes[..]);
-        let Node::Leaf { entries, .. } = &mut leaf_node else {
-            unreachable!("smo descent ended on a non-leaf page")
-        };
-        let old = match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-            Ok(i) => Some(std::mem::replace(&mut entries[i].value, value.to_vec())),
-            Err(i) => {
-                entries.insert(
-                    i,
-                    LeafEntry {
-                        key: key.to_vec(),
-                        value: value.to_vec(),
-                    },
-                );
-                None
-            }
-        };
-        // Split info propagating up: (left max, new right page, right max).
-        let mut split_info: Option<(Vec<u8>, PageId, Vec<u8>)> = None;
-        if !leaf_node.fits_in_page() {
-            let right = leaf_node.split();
-            let right_page = self.pager.try_allocate_page(self.file)?;
-            if let Node::Leaf { next, .. } = &mut leaf_node {
-                *next = Some(right_page);
-            }
-            let left_max = leaf_node.max_key().expect("split leaves entries").to_vec();
-            let right_max = right.max_key().expect("split leaves entries").to_vec();
-            // The right sibling inherits the old next pointer, so the leaf
-            // chain stays complete the instant the halved leaf (with its
-            // new next) becomes visible — both flips commit together when
-            // this latch releases.
-            self.try_write_node_latched(right_page, &right)?;
-            split_info = Some((left_max, right_page, right_max));
-        }
-        // Propagate through the recorded internal path bottom-up, collecting
-        // the rewrites; nothing is applied yet.
-        let mut updates: Vec<(PageId, Node)> = Vec::new();
-        while let Some((ipage, idx, mut entries)) = path.pop() {
-            let changed = if let Some((lmax, rpage, rmax)) = split_info.take() {
-                entries[idx].separator = lmax;
-                entries.insert(
-                    idx + 1,
-                    InternalEntry {
-                        separator: rmax,
-                        child: rpage,
-                    },
-                );
-                true
-            } else if entries[idx].separator.as_slice() < key {
-                // Insert beyond the child's old max: loosen the bound.
-                entries[idx].separator = key.to_vec();
-                true
-            } else {
-                false
-            };
-            if !changed {
-                continue;
-            }
-            let mut inode = Node::Internal { entries };
-            if !inode.fits_in_page() {
-                let right = inode.split();
-                let right_page = self.pager.try_allocate_page(self.file)?;
-                let left_max = inode.max_key().expect("split leaves entries").to_vec();
-                let right_max = right.max_key().expect("split leaves entries").to_vec();
-                self.try_write_node_latched(right_page, &right)?;
-                split_info = Some((left_max, right_page, right_max));
-            }
-            updates.push((ipage, inode));
-        }
-        if let Some((lmax, rpage, rmax)) = split_info {
-            // Root split: publish the new root *before* its left half is
-            // halved below (the old root is the last entry of `updates`),
-            // so a reader that still descends the stale, un-halved root
-            // sees a superset — and one that sees it halved fails the
-            // root-id recheck at its leaf.
-            let new_root = self.pager.try_allocate_page(self.file)?;
-            let node = Node::Internal {
-                entries: vec![
-                    InternalEntry {
-                        separator: lmax,
-                        child: start_root,
-                    },
-                    InternalEntry {
-                        separator: rmax,
-                        child: rpage,
-                    },
-                ],
-            };
-            self.try_write_node_latched(new_root, &node)?;
-            self.root.store(new_root, Ordering::Release);
-            self.height.fetch_add(1, Ordering::AcqRel);
-        }
-        // Apply the internal rewrites top-down: a parent always references
-        // its child's new right sibling before the child is halved, so any
-        // intermediate state routes every key to a node that (still)
-        // covers it.
-        for (ipage, inode) in updates.into_iter().rev() {
-            self.try_write_node_latched(ipage, &inode)?;
-        }
-        // The leaf last — its seqlock has been odd since before the first
-        // structural write, so no optimistic reader observed any of the
-        // intermediate states through it.
-        bytes.copy_from_slice(&leaf_node.encode());
-        Ok(old)
+    /// Allocate a fresh page and pin it for the rest of the plan.
+    fn try_allocate_pinned(&self, plan: &mut Plan) -> Result<PageId, PageError> {
+        let page = self.pager.try_allocate_page(self.file)?;
+        plan.fresh.push(self.try_pin_node(page)?);
+        Ok(page)
     }
 
     /// Remove `key`, returning its value if present. Merge-free: nodes may
@@ -727,123 +440,35 @@ impl BTree {
         self.try_remove(key).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible remove, callable through a shared reference under the
-    /// concurrent write path. Deletes never need a structure modification:
-    /// separators stay loose upper bounds (clamped routing keeps them
-    /// correct), so only the leaf is latched.
-    pub fn try_remove(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        if self.pager.concurrent_writes() {
-            return self.olc_remove(key);
+    /// Fallible remove. Deletes never restructure the tree: separators
+    /// stay loose upper bounds (clamped routing keeps them correct), so
+    /// the one write is the leaf, edited in place on a copy of its page.
+    pub fn try_remove(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
+        let mut table = OffsetTable::new();
+        let (leaf, guard) = self.try_descend(&|k: &[u8]| k < key, &mut table)?;
+        let view = NodeRef::new(guard.bytes());
+        let pos = view.partition_point(&table, |k| k < key);
+        if pos == table.len() || view.leaf_entry(&table, pos).0 != key {
+            return Ok(None);
         }
-        let mut page = self.root();
-        let leaf_page = loop {
-            match self.try_read_node(page)? {
-                Node::Leaf { .. } => break page,
-                Node::Internal { entries } => {
-                    let idx = entries.partition_point(|e| e.separator.as_slice() < key);
-                    let idx = idx.min(entries.len() - 1);
-                    page = entries[idx].child;
-                }
-            }
-        };
-        let mut node = self.try_read_node(leaf_page)?;
-        let removed = match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Ok(i) => Some(entries.remove(i).value),
-                    Err(_) => None,
-                }
-            }
-            Node::Internal { .. } => unreachable!(),
-        };
-        if removed.is_some() {
-            self.try_write_node(leaf_page, &node)?;
-            self.len.fetch_sub(1, Ordering::AcqRel);
-        }
-        Ok(removed)
+        let old = view.leaf_entry(&table, pos).1.to_vec();
+        let mut image = guard.bytes().to_vec();
+        let data: &mut [u8; PAGE_SIZE] = image.as_mut_slice().try_into().expect("one page");
+        node::leaf_remove_at(data, &table, pos);
+        drop(guard);
+        self.pager.try_write_page(self.file, leaf, &image)?;
+        self.len -= 1;
+        Ok(Some(old))
     }
 
-    /// Concurrent-mode remove: optimistic descent, in-place edit under the
-    /// leaf latch, unbounded restarts (each restart means an SMO committed,
-    /// which is finite work by others — no livelock in practice; contended
-    /// phases are bounded by the `smo` serialisation).
-    fn olc_remove(&self, key: &[u8]) -> Result<Option<Vec<u8>>, PageError> {
-        let mut snap = Self::page_buf();
-        loop {
-            let (leaf, parent) = match self.olc_descend(&|sep| sep < key, &mut snap)? {
-                Descent::Restart => continue,
-                Descent::Leaf { page, parent } => (page, parent),
-            };
-            // `None` = validation failed inside the latch → restart.
-            let out: Option<Option<Vec<u8>>> =
-                self.pager.try_with_page_mut(self.file, leaf, |bytes| {
-                    match &parent {
-                        Some((pvp, pver)) => {
-                            if !pvp.validate(*pver) {
-                                return None;
-                            }
-                        }
-                        None => {
-                            if self.root() != leaf {
-                                return None;
-                            }
-                        }
-                    }
-                    let mut table = OffsetTable::new();
-                    let view = NodeRef::new(&bytes[..]);
-                    if !view.is_leaf() {
-                        return None;
-                    }
-                    view.fill_offsets(&mut table);
-                    let pos = view.partition_point(&table, |k| k < key);
-                    if pos < table.len() {
-                        let (k, v) = view.leaf_entry(&table, pos);
-                        if k == key {
-                            let old = v.to_vec();
-                            node::leaf_remove_at(bytes, &table, pos);
-                            return Some(Some(old));
-                        }
-                    }
-                    Some(None)
-                })?;
-            match out {
-                None => continue,
-                Some(removed) => {
-                    if removed.is_some() {
-                        self.len.fetch_sub(1, Ordering::AcqRel);
-                    }
-                    return Ok(removed);
-                }
-            }
-        }
-    }
-
-    /// Insert a batch of entries, fanning out over `threads` workers when
-    /// the pool's concurrent write path is enabled (serial otherwise).
-    /// Returns the number of *fresh* keys inserted. On a page fault the
-    /// batch stops with the typed error; already-applied entries remain
-    /// (inserts are independent and idempotent to re-apply).
-    pub fn try_batch_insert(
-        &self,
-        entries: &[(Vec<u8>, Vec<u8>)],
-        threads: usize,
-    ) -> Result<u64, BTreeError> {
-        if threads <= 1 || !self.pager.concurrent_writes() {
-            let mut fresh = 0u64;
-            for (k, v) in entries {
-                if self.try_insert(k, v)?.is_none() {
-                    fresh += 1;
-                }
-            }
-            return Ok(fresh);
-        }
-        let results = pagestore::par_map(entries.len(), threads, |i| {
-            let (k, v) = &entries[i];
-            self.try_insert(k, v).map(|old| old.is_none())
-        });
+    /// Insert a batch of entries in order. Returns the number of *fresh*
+    /// keys inserted. On a page fault the batch stops with the typed
+    /// error; the entries before it remain (inserts are independent and
+    /// idempotent to re-apply).
+    pub fn try_batch_insert(&mut self, entries: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, BTreeError> {
         let mut fresh = 0u64;
-        for r in results {
-            if r? {
+        for (k, v) in entries {
+            if self.try_insert(k, v)?.is_none() {
                 fresh += 1;
             }
         }
@@ -851,8 +476,8 @@ impl BTree {
     }
 
     /// Panicking twin of [`BTree::try_batch_insert`].
-    pub fn batch_insert(&mut self, entries: &[(Vec<u8>, Vec<u8>)], threads: usize) -> u64 {
-        match self.try_batch_insert(entries, threads) {
+    pub fn batch_insert(&mut self, entries: &[(Vec<u8>, Vec<u8>)]) -> u64 {
+        match self.try_batch_insert(entries) {
             Ok(fresh) => fresh,
             Err(e) => panic!("{e}"),
         }
@@ -894,11 +519,10 @@ impl BTree {
     }
 
     /// Structural invariant check used by tests and debug assertions: key
-    /// order within/between nodes and separator correctness. Call from a
-    /// quiescent tree (no concurrent writers).
+    /// order within/between nodes and separator correctness.
     pub fn check_invariants(&self) {
         let mut leaf_keys = Vec::new();
-        self.check_rec(self.root(), None, &mut leaf_keys);
+        self.check_rec(self.root, None, &mut leaf_keys);
         for w in leaf_keys.windows(2) {
             assert!(w[0] < w[1], "leaf keys must be strictly increasing");
         }
@@ -906,7 +530,10 @@ impl BTree {
     }
 
     fn check_rec(&self, page: PageId, upper: Option<&[u8]>, out: &mut Vec<Vec<u8>>) {
-        let node = self.try_read_node(page).unwrap_or_else(|e| panic!("{e}"));
+        let node = self
+            .pager
+            .try_with_page(self.file, page, Node::decode)
+            .unwrap_or_else(|e| panic!("{e}"));
         match node {
             Node::Leaf { entries, .. } => {
                 for e in &entries {
@@ -945,9 +572,16 @@ impl std::fmt::Debug for BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagestore::{Clock, FaultConfig, FaultStorage};
 
     fn tree() -> BTree {
         BTree::create(Pager::with_cache_bytes(1 << 20))
+    }
+
+    /// A retry clock that never sleeps, for fault sweeps.
+    struct NoSleep;
+    impl Clock for NoSleep {
+        fn sleep(&self, _d: std::time::Duration) {}
     }
 
     #[test]
@@ -998,12 +632,18 @@ mod tests {
 
     #[test]
     fn sequential_inserts() {
+        // Every insert lands beyond the current max key, so each one grows
+        // the separators along the rightmost path.
         let mut t = tree();
-        for i in 0..2000u32 {
+        for i in 0..5000u32 {
             t.insert(&i.to_be_bytes(), &[0u8; 32]).unwrap();
         }
+        assert!(t.height() > 1, "tree must have split");
         t.check_invariants();
-        assert_eq!(t.get(&1999u32.to_be_bytes()), Some(vec![0u8; 32]));
+        for probe in [0u32, 1, 2500, 4999] {
+            assert_eq!(t.get(&probe.to_be_bytes()), Some(vec![0u8; 32]));
+        }
+        assert_eq!(t.get(&5000u32.to_be_bytes()), None);
     }
 
     #[test]
@@ -1037,91 +677,63 @@ mod tests {
         assert_eq!(t.get(&7u32.to_be_bytes()).unwrap()[0], 7);
     }
 
-    /// A tree on a pool with the concurrent (OLC) write path enabled.
-    fn olc_tree() -> BTree {
-        let pager = Pager::with_cache_bytes(1 << 20);
-        pager.set_concurrent_writes(true);
-        BTree::create(pager)
-    }
-
     #[test]
-    fn olc_single_thread_agrees_with_serial_oracle() {
-        // Same operation sequence against the OLC path and the serial
-        // path: every return value and the final contents must agree.
-        let t = olc_tree();
-        let mut oracle = tree();
+    fn insert_remove_agree_with_btreemap_oracle() {
+        // Inserts, overwrites with shorter and longer values, removes and
+        // small batches against a `BTreeMap`: every return value and the
+        // final contents must agree. Values up to 1 KiB grow the tree to
+        // three levels, so leaf and internal splits and a root split all
+        // happen along the way.
+        let mut t = tree();
+        let mut oracle = std::collections::BTreeMap::new();
         let mut k = 7u32;
+        let mut next_key = |step: u32| {
+            k = k.wrapping_mul(2654435761).wrapping_add(step) % 6000;
+            format!("key{k:06}").into_bytes()
+        };
         for step in 0..4000u32 {
-            k = k.wrapping_mul(2654435761).wrapping_add(step) % 1500;
-            let key = format!("key{k:06}").into_bytes();
+            let key = next_key(step);
+            let val = vec![step as u8; (step as usize * 37) % 1024];
             if step % 5 == 4 {
-                let a = t.try_remove(&key).unwrap();
-                let b = oracle.remove(&key);
-                assert_eq!(a, b, "remove {k} at step {step}");
+                let removed = t.try_remove(&key).unwrap();
+                assert_eq!(removed, oracle.remove(&key), "remove at step {step}");
+            } else if step % 50 == 3 {
+                let batch: Vec<(Vec<u8>, Vec<u8>)> = (0..16u32)
+                    .map(|i| (next_key(step ^ i), val.clone()))
+                    .collect();
+                let fresh = batch
+                    .iter()
+                    .filter(|(k, v)| oracle.insert(k.clone(), v.clone()).is_none())
+                    .count() as u64;
+                assert_eq!(
+                    t.try_batch_insert(&batch).unwrap(),
+                    fresh,
+                    "batch at step {step}"
+                );
             } else {
-                let val = step.to_be_bytes().to_vec();
-                let a = t.try_insert(&key, &val).unwrap();
-                let b = oracle.insert(&key, &val).unwrap();
-                assert_eq!(a, b, "insert {k} at step {step}");
+                let old = t.try_insert(&key, &val).unwrap();
+                assert_eq!(old, oracle.insert(key, val), "insert at step {step}");
             }
         }
-        assert_eq!(t.len(), oracle.len());
+        assert!(
+            t.height() >= 3,
+            "height {} misses internal splits",
+            t.height()
+        );
+        assert_eq!(t.len(), oracle.len() as u64);
         t.check_invariants();
         let got: Vec<_> = t.scan().collect();
-        let want: Vec<_> = oracle.scan().collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn olc_grows_height_and_stays_searchable() {
-        let t = olc_tree();
-        for i in 0..5000u32 {
-            t.try_insert(&i.to_be_bytes(), &[0u8; 32]).unwrap();
-        }
-        assert!(t.height() > 1, "tree must have split");
-        t.check_invariants();
-        for probe in [0u32, 1, 2500, 4999] {
-            assert_eq!(
-                t.try_get(&probe.to_be_bytes()).unwrap(),
-                Some(vec![0u8; 32])
-            );
-        }
-        assert_eq!(t.try_get(&5000u32.to_be_bytes()).unwrap(), None);
-    }
-
-    #[test]
-    fn olc_batch_insert_multithreaded_matches_serial() {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..6000u32)
-            .map(|i| {
-                let k = i.wrapping_mul(2654435761) % 6000;
-                (format!("k{k:08}").into_bytes(), k.to_be_bytes().to_vec())
-            })
-            .collect();
-        let t = olc_tree();
-        t.try_batch_insert(&entries, 4).unwrap();
-        let mut oracle = tree();
-        for (k, v) in &entries {
-            oracle.insert(k, v).unwrap();
-        }
-        assert_eq!(t.len(), oracle.len());
-        t.check_invariants();
-        let got: Vec<_> = t.scan().collect();
-        let want: Vec<_> = oracle.scan().collect();
+        let want: Vec<_> = oracle.into_iter().collect();
         assert_eq!(got, want);
     }
 
     #[test]
     fn degraded_pool_insert_returns_typed_error() {
-        use pagestore::{Clock, FaultConfig, FaultStorage};
-        struct NoSleep;
-        impl Clock for NoSleep {
-            fn sleep(&self, _d: std::time::Duration) {}
-        }
         let (storage, handle) = FaultStorage::create(FaultConfig::default()).unwrap();
         // Tiny cache: growth forces eviction write-backs.
         let pager = Pager::with_storage(storage, 8 * PAGE_SIZE);
         pager.set_retry_clock(std::sync::Arc::new(NoSleep));
-        let t = BTree::create(pager);
+        let mut t = BTree::create(pager);
         for i in 0..64u32 {
             t.try_insert(&i.to_be_bytes(), &[3u8; 64]).unwrap();
         }
@@ -1150,5 +762,59 @@ mod tests {
         assert!(matches!(err, PageError::ReadOnly { .. }), "got {err:?}");
         // …and reads still serve from the (unevictable dirty) cache.
         assert_eq!(t.try_get(&7u32.to_be_bytes()).unwrap(), Some(vec![3u8; 64]));
+    }
+
+    #[test]
+    fn degrade_mid_split_never_loses_acked_keys() {
+        // Sweep the point where the medium dies across a stretch of
+        // inserts on a 6-frame pool, so that for some offsets the failing
+        // eviction write-back lands inside a split: while the parent is
+        // fetched, or while a sibling page is allocated. An insert must
+        // then either land whole or leave the tree as it was; every key
+        // acknowledged before the failure stays readable.
+        let key = |i: u32| i.wrapping_mul(2_654_435_761).to_be_bytes();
+        let value = [5u8; 200];
+        for d in 0..160u64 {
+            let (storage, handle) = FaultStorage::create(FaultConfig::default()).unwrap();
+            let pager = Pager::with_storage(storage, 6 * PAGE_SIZE);
+            pager.set_retry_clock(std::sync::Arc::new(NoSleep));
+            let mut t = BTree::create(pager);
+            let mut acked: Vec<[u8; 4]> = (0..200).map(key).collect();
+            for k in &acked {
+                t.try_insert(k, &value).unwrap();
+            }
+            let ops = handle.ops() + d;
+            handle.set_fault_config(FaultConfig {
+                transient_writes: (ops..ops + 1000).collect(),
+                ..FaultConfig::default()
+            });
+            for i in 200..2000 {
+                match t.try_insert(&key(i), &value) {
+                    Ok(old) => {
+                        assert_eq!(old, None, "d = {d}: keys are distinct");
+                        acked.push(key(i));
+                    }
+                    Err(_) => break,
+                }
+            }
+            assert!(t.pager().degraded().is_some(), "d = {d}: no fault fired");
+            assert_eq!(
+                t.len(),
+                acked.len() as u64,
+                "d = {d}: len counts a failed insert"
+            );
+            for k in &acked {
+                let got = t.try_get(k).unwrap();
+                assert_eq!(
+                    got.as_deref(),
+                    Some(&value[..]),
+                    "d = {d}: acked key {k:?} lost"
+                );
+            }
+            acked.sort_unstable();
+            let scanned: Vec<Vec<u8>> = t.scan().map(|(k, _)| k).collect();
+            let want: Vec<Vec<u8>> = acked.iter().map(|k| k.to_vec()).collect();
+            assert_eq!(scanned, want, "d = {d}: scan disagrees");
+        }
     }
 }

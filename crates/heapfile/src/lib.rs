@@ -29,7 +29,6 @@
 
 use pagestore::{FileId, PageError, PageId, Pager, PAGE_SIZE};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
 
 /// A run of physically consecutive pages of the heap's file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +71,11 @@ fn release(free: &mut Vec<Run>, run: Run) {
 /// [`HeapFile::try_put_staged`] / [`HeapFile::try_append_staged`].
 ///
 /// Staged bytes lie either in a run no directory entry points at or behind
-/// a blob's visible length, so readers cannot reach them: any number of
-/// threads may stage against one shared `&HeapFile`, and the batch becomes
-/// visible atomically at [`HeapFile::commit_staged`] — or, handed to
-/// [`HeapFile::abort_staged`], not at all. Every staged blob must go to
-/// one of the two; dropping it instead leaks the run it may have
-/// allocated (never corrupts).
+/// a blob's visible length, so readers cannot reach them: a batch of
+/// staged blobs becomes visible atomically at [`HeapFile::commit_staged`]
+/// — or, handed to [`HeapFile::abort_staged`], not at all. Every staged
+/// blob must go to one of the two; dropping it instead leaks the run it
+/// may have allocated (never corrupts).
 #[derive(Debug)]
 pub struct StagedBlob {
     key: u32,
@@ -92,11 +90,8 @@ pub struct HeapFile {
     /// Sum of the directory's blob lengths, maintained by
     /// [`HeapFile::commit_staged`] so [`HeapFile::live_bytes`] is O(1).
     live_bytes: u64,
-    /// Runs no blob owns, sorted by first page, no two adjacent. The mutex
-    /// also serialises page *allocation* (not the page writes): a run must
-    /// be physically consecutive, so concurrent staging must not
-    /// interleave two runs' allocations.
-    free: Mutex<Vec<Run>>,
+    /// Runs no blob owns, sorted by first page, no two adjacent.
+    free: Vec<Run>,
 }
 
 impl HeapFile {
@@ -108,7 +103,7 @@ impl HeapFile {
             file,
             directory: HashMap::new(),
             live_bytes: 0,
-            free: Mutex::new(Vec::new()),
+            free: Vec::new(),
         }
     }
 
@@ -131,16 +126,15 @@ impl HeapFile {
     }
 
     /// Write `data`'s pages into a run of its own *without* publishing the
-    /// directory entry. Thread-safe: stage from any number of workers,
-    /// then [`HeapFile::commit_staged`] the batch.
-    pub fn try_put_staged(&self, key: u32, data: &[u8]) -> Result<StagedBlob, PageError> {
+    /// directory entry; [`HeapFile::commit_staged`] publishes the batch.
+    pub fn try_put_staged(&mut self, key: u32, data: &[u8]) -> Result<StagedBlob, PageError> {
         let run = self.alloc_run(pages_for(data.len() as u64))?;
         self.stage_into(key, BlobLoc { run, byte_len: 0 }, run, data)
     }
 
     /// Stage `extra` behind the visible end of `key`'s blob without
     /// publishing the new length (an absent key is staged like
-    /// [`HeapFile::try_put_staged`]). Thread-safe for distinct keys.
+    /// [`HeapFile::try_put_staged`]).
     ///
     /// While the grown blob fits its run's capacity, only the pages at and
     /// behind the visible end are written (the one partial page is read,
@@ -150,7 +144,7 @@ impl HeapFile {
     /// reach changes before [`HeapFile::commit_staged`], and bytes left
     /// behind the visible end by an aborted attempt are simply overwritten
     /// by the next one.
-    pub fn try_append_staged(&self, key: u32, extra: &[u8]) -> Result<StagedBlob, PageError> {
+    pub fn try_append_staged(&mut self, key: u32, extra: &[u8]) -> Result<StagedBlob, PageError> {
         let Some(old) = self.directory.get(&key).copied() else {
             return self.try_put_staged(key, extra);
         };
@@ -169,7 +163,7 @@ impl HeapFile {
     /// own. A failed page write returns `dst` to the free list unless it
     /// is `key`'s published run.
     fn stage_into(
-        &self,
+        &mut self,
         key: u32,
         old: BlobLoc,
         dst: Run,
@@ -214,16 +208,10 @@ impl HeapFile {
         }
     }
 
-    fn free_runs(&self) -> MutexGuard<'_, Vec<Run>> {
-        // Every update of the list is a single insert/remove plus merges
-        // that keep it valid at each step, so a poisoned guard is usable.
-        self.free.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Take `pages` consecutive pages: the head of the first free run that
     /// fits, else pages at the end of the file.
-    fn alloc_run(&self, pages: u64) -> Result<Run, PageError> {
-        let mut free = self.free_runs();
+    fn alloc_run(&mut self, pages: u64) -> Result<Run, PageError> {
+        let free = &mut self.free;
         if let Some(i) = free.iter().position(|r| r.pages >= pages) {
             let first_page = free[i].first_page;
             if free[i].pages == pages {
@@ -253,7 +241,7 @@ impl HeapFile {
                         first_page,
                         pages: got,
                     };
-                    release(&mut free, obtained);
+                    release(free, obtained);
                     return Err(e);
                 }
             }
@@ -266,13 +254,12 @@ impl HeapFile {
     /// visibility with respect to readers. A run its blob moved out of (or
     /// was re-put out of) goes to the free list.
     pub fn commit_staged(&mut self, staged: impl IntoIterator<Item = StagedBlob>) {
-        let free = self.free.get_mut().unwrap_or_else(|e| e.into_inner());
         for blob in staged {
             self.live_bytes += blob.loc.byte_len;
             if let Some(old) = self.directory.insert(blob.key, blob.loc) {
                 self.live_bytes -= old.byte_len;
                 if old.run != blob.loc.run {
-                    release(free, old.run);
+                    release(&mut self.free, old.run);
                 }
             }
         }
@@ -281,11 +268,10 @@ impl HeapFile {
     /// Give up staged blobs: every run staging allocated returns to the
     /// free list. Bytes staged in place stay behind their blob's visible
     /// end, unreachable, until the next append overwrites them.
-    pub fn abort_staged(&self, staged: impl IntoIterator<Item = StagedBlob>) {
-        let mut free = self.free_runs();
+    pub fn abort_staged(&mut self, staged: impl IntoIterator<Item = StagedBlob>) {
         for blob in staged {
             if self.directory.get(&blob.key).map(|l| l.run) != Some(blob.loc.run) {
-                release(&mut free, blob.loc.run);
+                release(&mut self.free, blob.loc.run);
             }
         }
     }
@@ -396,9 +382,8 @@ impl HeapFile {
         }
         let capacities: Vec<u64> = keys.iter().map(|k| self.directory[k].run.pages).collect();
         w.u64s(&capacities);
-        let free = self.free_runs();
-        w.u32(free.len() as u32);
-        for run in free.iter() {
+        w.u32(self.free.len() as u32);
+        for run in &self.free {
             w.u64(run.first_page);
             w.u64(run.pages);
         }
@@ -455,7 +440,7 @@ impl HeapFile {
             file,
             directory,
             live_bytes,
-            free: Mutex::new(free),
+            free,
         })
     }
 
@@ -494,7 +479,7 @@ mod tests {
         /// free runs are sorted and coalesced, every capacity covers its
         /// blob, and the running byte counter equals the directory sum.
         fn check_invariants(&self) {
-            let free = self.free_runs();
+            let free = &self.free;
             for pair in free.windows(2) {
                 assert!(
                     pair[0].first_page + pair[0].pages < pair[1].first_page,
@@ -525,6 +510,18 @@ mod tests {
             assert!(runs.iter().all(|r| r.pages > 0));
             let sum: u64 = self.directory.values().map(|l| l.byte_len).sum();
             assert_eq!(self.live_bytes(), sum, "running live-byte counter drifted");
+        }
+
+        /// Stage `extra` behind `key`'s blob and commit it.
+        fn append(&mut self, key: u32, extra: &[u8]) {
+            let staged = self.try_append_staged(key, extra).unwrap();
+            self.commit_staged([staged]);
+        }
+
+        /// Stage `extra` behind `key`'s blob and abort it.
+        fn append_aborted(&mut self, key: u32, extra: &[u8]) {
+            let staged = self.try_append_staged(key, extra).unwrap();
+            self.abort_staged([staged]);
         }
     }
 
@@ -625,7 +622,7 @@ mod tests {
         h.put(3, &vec![1u8; PAGE_SIZE * 4]);
         assert_eq!(h.pages(), 11, "vacated run reused");
         // The slack page absorbs the next page of growth in place.
-        h.commit_staged([h.try_append_staged(1, &vec![5u8; PAGE_SIZE]).unwrap()]);
+        h.append(1, &vec![5u8; PAGE_SIZE]);
         want.extend_from_slice(&vec![5u8; PAGE_SIZE]);
         assert_eq!(h.get(1).as_ref(), Some(&want));
         assert_eq!(h.pages(), 11);
@@ -637,13 +634,13 @@ mod tests {
     #[test]
     fn append_to_absent_or_empty_key_and_across_exact_page_ends() {
         let mut h = HeapFile::create(Pager::new());
-        h.commit_staged([h.try_append_staged(1, b"first").unwrap()]);
+        h.append(1, b"first");
         assert_eq!(h.get(1), Some(b"first".to_vec()));
         h.put(2, &[]);
-        h.commit_staged([h.try_append_staged(2, &vec![3u8; PAGE_SIZE]).unwrap()]);
+        h.append(2, &vec![3u8; PAGE_SIZE]);
         assert_eq!(h.get(2), Some(vec![3u8; PAGE_SIZE]));
         assert_eq!(h.pages(), 2, "an exactly full page needs no second one");
-        h.commit_staged([h.try_append_staged(2, &[4u8]).unwrap()]);
+        h.append(2, &[4u8]);
         let mut want = vec![3u8; PAGE_SIZE];
         want.push(4);
         assert_eq!(h.get(2), Some(want));
@@ -657,17 +654,17 @@ mod tests {
         let pages = h.pages();
         // In place: garbage lands behind the visible end, then a different
         // tail is staged over it and committed.
-        h.abort_staged([h.try_append_staged(1, b"-garbage-garbage").unwrap()]);
+        h.append_aborted(1, b"-garbage-garbage");
         assert_eq!(h.get(1), Some(b"visible".to_vec()));
-        h.commit_staged([h.try_append_staged(1, b"+ok").unwrap()]);
+        h.append(1, b"+ok");
         assert_eq!(h.get(1), Some(b"visible+ok".to_vec()));
         assert_eq!(h.pages(), pages);
         // Relocating: the run the aborted move allocated is reused by the
         // retry, so the file grows once, not twice.
-        h.abort_staged([h.try_append_staged(1, &vec![1u8; PAGE_SIZE]).unwrap()]);
+        h.append_aborted(1, &vec![1u8; PAGE_SIZE]);
         let grown = h.pages();
         assert!(grown > pages);
-        h.commit_staged([h.try_append_staged(1, &vec![2u8; PAGE_SIZE]).unwrap()]);
+        h.append(1, &vec![2u8; PAGE_SIZE]);
         assert_eq!(h.pages(), grown);
         let mut want = b"visible+ok".to_vec();
         want.extend_from_slice(&vec![2u8; PAGE_SIZE]);
@@ -696,7 +693,7 @@ mod tests {
         // A fresh run longer than the pool: the write-back that degrades
         // the pool happens *between* two of its page allocations.
         let long_first = [(9u32, 12 * PAGE_SIZE), (0, 3 * PAGE_SIZE)];
-        let faulted_batch = |h: &HeapFile, batch: &[(u32, usize)]| {
+        let faulted_batch = |h: &mut HeapFile, batch: &[(u32, usize)]| {
             let ops = fault.ops();
             fault.set_fault_config(FaultConfig {
                 transient_writes: (ops..ops + 100_000).collect(),
@@ -725,12 +722,12 @@ mod tests {
         // write that fails); once the free list covers the largest demand
         // a failing batch can make, it must never grow again.
         for _ in 0..3 {
-            faulted_batch(&h, &batch);
-            faulted_batch(&h, &long_first);
+            faulted_batch(&mut h, &batch);
+            faulted_batch(&mut h, &long_first);
         }
         let pages = h.pages();
         for round in 0..8 {
-            faulted_batch(&h, if round % 2 == 0 { &batch } else { &long_first });
+            faulted_batch(&mut h, if round % 2 == 0 { &batch } else { &long_first });
             assert_eq!(h.pages(), pages, "round {round} leaked a staged run");
         }
         for k in 0..4u32 {
@@ -796,7 +793,7 @@ mod tests {
         );
 
         // Grow key 1 out of its run: slack on the new run, old run free.
-        h.commit_staged([h.try_append_staged(1, &[9u8; 10]).unwrap()]);
+        h.append(1, &[9u8; 10]);
         let pages = h.pages();
         let mut reopened = HeapFile::open(pager, &h.state_bytes()).expect("state parses");
         assert_eq!(reopened.state_bytes(), h.state_bytes());
@@ -804,9 +801,7 @@ mod tests {
         reopened.check_invariants();
         reopened.put(3, &vec![3u8; PAGE_SIZE * 2]);
         assert_eq!(reopened.pages(), pages, "persisted free run reused");
-        reopened.commit_staged([reopened
-            .try_append_staged(1, &vec![4u8; PAGE_SIZE - 10])
-            .unwrap()]);
+        reopened.append(1, &vec![4u8; PAGE_SIZE - 10]);
         assert_eq!(
             reopened.pages(),
             pages,
@@ -818,15 +813,16 @@ mod tests {
     #[test]
     fn staged_blobs_publish_atomically() {
         let mut h = HeapFile::create(Pager::with_cache_bytes(1 << 18));
-        // Stage from 4 workers against the shared heap: runs must not
-        // interleave (each blob reads back exactly), and nothing is
-        // visible before the commit.
+        // Stage a batch of blobs: runs must not interleave (each blob
+        // reads back exactly), and nothing is visible before the commit.
         let blobs: Vec<Vec<u8>> = (0..32u32)
             .map(|k| vec![k as u8; (k as usize % 3) * PAGE_SIZE + 17])
             .collect();
-        let staged = pagestore::par_map(blobs.len(), 4, |i| {
-            h.try_put_staged(i as u32, &blobs[i]).unwrap()
-        });
+        let staged: Vec<StagedBlob> = blobs
+            .iter()
+            .enumerate()
+            .map(|(k, blob)| h.try_put_staged(k as u32, blob).unwrap())
+            .collect();
         for k in 0..32u32 {
             assert_eq!(h.get(k), None, "staged blob {k} visible before commit");
         }
@@ -852,10 +848,10 @@ mod tests {
                         model.insert(key, data);
                     }
                     1..=3 => {
-                        h.commit_staged([h.try_append_staged(key, &data).unwrap()]);
+                        h.append(key, &data);
                         model.entry(key).or_default().extend_from_slice(&data);
                     }
-                    4 => h.abort_staged([h.try_append_staged(key, &data).unwrap()]),
+                    4 => h.append_aborted(key, &data),
                     _ => h = HeapFile::open(pager.clone(), &h.state_bytes()).expect("own state"),
                 }
                 h.check_invariants();

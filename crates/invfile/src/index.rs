@@ -221,28 +221,28 @@ impl InvertedFile {
         Ok(last)
     }
 
-    /// Fallible twin of [`InvertedFile::batch_insert`], with optional
-    /// intra-batch parallelism.
+    /// Fallible twin of [`InvertedFile::batch_insert`]. `_threads` is
+    /// ignored: the batch is staged serially. It stays in the signature
+    /// for the callers that pass it.
     ///
     /// The batch is applied in two phases. Phase one encodes each touched
     /// item's new postings as a continuation of its list
     /// ([`PostingsEncoder::resume`]) and stages the bytes behind the
     /// list's visible end — or, when the list's run is full, in a larger
-    /// run the list is moved to — across `threads` workers when the pool's
-    /// concurrent write path is enabled (distinct items touch disjoint
-    /// pages), without touching the directory or any statistic. Phase two
-    /// publishes the new lengths and locations and flips the statistics.
-    /// A page fault in phase one therefore leaves the index observably
-    /// unchanged: staged bytes lie behind a visible end or in runs no list
-    /// owns, the runs return to the heap's free list, reads stay exact,
-    /// and the next successful append overwrites what was left behind.
+    /// run the list is moved to — without touching the directory or any
+    /// statistic. Phase two publishes the new lengths and locations and
+    /// flips the statistics. A page fault in phase one therefore leaves
+    /// the index observably unchanged: staged bytes lie behind a visible
+    /// end or in runs no list owns, the runs return to the heap's free
+    /// list, reads stay exact, and the next successful append overwrites
+    /// what was left behind.
     ///
     /// Contract violations (stale ids, out-of-vocabulary items) are caller
     /// bugs and still panic.
     pub fn try_batch_insert(
         &mut self,
         records: &[Record],
-        threads: usize,
+        _threads: usize,
     ) -> Result<(), PageError> {
         use std::collections::HashMap;
         let mut additions: HashMap<ItemId, Vec<Posting>> = HashMap::new();
@@ -260,36 +260,24 @@ impl InvertedFile {
         }
         let mut items: Vec<ItemId> = additions.keys().copied().collect();
         items.sort_unstable();
-        let stage = |item: ItemId| -> Result<heapfile::StagedBlob, PageError> {
-            let mut enc = PostingsEncoder::resume(self.compression, self.try_last_id(item)?);
-            for &p in &additions[&item] {
-                enc.push(p);
-            }
-            self.store.try_append_staged(item, &enc.finish())
-        };
         let mut staged = Vec::with_capacity(items.len());
-        let mut fault = None;
-        let mut keep = |result: Result<heapfile::StagedBlob, PageError>| match result {
-            Ok(blob) => {
-                staged.push(blob);
-                true
+        for item in items {
+            // The last id is read before staging borrows the store.
+            let blob = self.try_last_id(item).and_then(|last| {
+                let mut enc = PostingsEncoder::resume(self.compression, last);
+                for &p in &additions[&item] {
+                    enc.push(p);
+                }
+                self.store.try_append_staged(item, &enc.finish())
+            });
+            match blob {
+                Ok(blob) => staged.push(blob),
+                Err(e) => {
+                    // Stop at the first fault: nothing of the batch commits.
+                    self.store.abort_staged(staged);
+                    return Err(e);
+                }
             }
-            Err(e) => {
-                fault.get_or_insert(e);
-                false
-            }
-        };
-        if threads > 1 && self.pager().concurrent_writes() {
-            for result in pagestore::par_map(items.len(), threads, |i| stage(items[i])) {
-                keep(result);
-            }
-        } else {
-            // Serially, stop at the first fault: nothing after it commits.
-            let _ = items.iter().all(|&item| keep(stage(item)));
-        }
-        if let Some(e) = fault {
-            self.store.abort_staged(staged);
-            return Err(e);
         }
         self.store.commit_staged(staged);
         for r in records {
@@ -377,7 +365,6 @@ mod tests {
         let mut serial = InvertedFile::build(&d);
         serial.batch_insert(&build_batch());
         let pager = Pager::with_cache_bytes(1 << 20);
-        pager.set_concurrent_writes(true);
         let mut threaded = InvertedFile::builder(&d).pager(pager).build();
         threaded.try_batch_insert(&build_batch(), 4).unwrap();
         assert_eq!(threaded.num_records(), serial.num_records());

@@ -609,8 +609,7 @@ impl Service {
                     cause: format!("wal write failed: {e}"),
                 });
             }
-            let threads = self.config.threads_per_shard;
-            if let Err(error) = self.shards[s].try_apply_insert(&batch, threads) {
+            if let Err(error) = self.shards[s].try_apply_insert(&batch) {
                 return Err(InsertError::Page { shard: s, error });
             }
         }

@@ -306,22 +306,17 @@ impl Shard {
     /// file and drop the now-stale ordered structures. Panics on a page
     /// fault; [`Shard::try_apply_insert`] is the fallible twin.
     pub(crate) fn apply_insert(&mut self, batch: &[Record]) {
-        self.try_apply_insert(batch, 1)
+        self.try_apply_insert(batch)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`Shard::apply_insert`], staging list appends
-    /// across `threads` workers when the pool's concurrent write path is
-    /// enabled. On error no statistic or planner state has changed — the
-    /// inverted file's two-phase batch leaves reads exact — so the shard
-    /// keeps serving while the caller surfaces the typed fault.
-    pub(crate) fn try_apply_insert(
-        &mut self,
-        batch: &[Record],
-        threads: usize,
-    ) -> Result<(), PageError> {
+    /// Fallible twin of [`Shard::apply_insert`]. On error no statistic or
+    /// planner state has changed — the inverted file's two-phase batch
+    /// leaves reads exact — so the shard keeps serving while the caller
+    /// surfaces the typed fault.
+    pub(crate) fn try_apply_insert(&mut self, batch: &[Record]) -> Result<(), PageError> {
         let inv = self.inv.as_mut().expect("write path requires an IF");
-        inv.try_batch_insert(batch, threads)?;
+        inv.try_batch_insert(batch, 1)?;
         self.max_id = batch.last().expect("non-empty batch").id;
         self.num_records += batch.len() as u64;
         self.planner

@@ -22,8 +22,9 @@
 //!    `RawFile::sync_all`, where fault injection and the op clock can see
 //!    it. Outside `raw.rs`, `.sync_data(` is banned outright (the shadow
 //!    protocol needs `sync_all` semantics), and `.sync_all(` is banned in
-//!    any file whose code touches `std::fs::File` directly (trait calls
-//!    on a `RawFile` are fine — those files never name `std::fs::File`).
+//!    any file whose code touches `std::fs::File` directly, except inside
+//!    an `impl RawFile for …` block: there it forwards to an inner
+//!    `RawFile`, which is the sanctioned path, not a raw barrier.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -153,6 +154,7 @@ fn check_file(path: &Path, text: &str) -> Vec<Finding> {
         .iter()
         .take(test_start)
         .any(|l| code_of(l).contains("std::fs::File"));
+    let forwards = in_rawfile_impl(&lines);
 
     for (idx, raw) in lines.iter().enumerate().take(test_start) {
         let trimmed = raw.trim_start();
@@ -176,8 +178,8 @@ fn check_file(path: &Path, text: &str) -> Vec<Finding> {
         if !is_comment && !is_raw {
             let code = code_of(raw);
             let bans_sync_data = code.contains(".sync_data(") || code.contains("File::sync_data");
-            let bans_sync_all =
-                code.contains("File::sync_all") || (touches_fs_file && code.contains(".sync_all("));
+            let bans_sync_all = code.contains("File::sync_all")
+                || (touches_fs_file && !forwards[idx] && code.contains(".sync_all("));
             if bans_sync_data || bans_sync_all {
                 findings.push(Finding {
                     file: path.to_path_buf(),
@@ -217,6 +219,37 @@ fn check_file(path: &Path, text: &str) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// Per line, whether it lies inside an `impl … RawFile for …` block (its
+/// opening line included), tracked by brace depth. A `.sync_all(` there
+/// forwards to an inner `RawFile` rather than issuing a raw fsync.
+fn in_rawfile_impl(lines: &[&str]) -> Vec<bool> {
+    let mut out = Vec::with_capacity(lines.len());
+    let mut depth = 0usize;
+    // Brace depth just outside the open impl block, if any.
+    let mut block: Option<usize> = None;
+    for line in lines {
+        let code = code_of(line);
+        let t = code.trim_start();
+        if block.is_none() && t.starts_with("impl") && t.contains("RawFile for ") {
+            block = Some(depth);
+        }
+        out.push(block.is_some());
+        for c in code.chars() {
+            match c {
+                '{' => depth += 1,
+                '}' => {
+                    depth = depth.saturating_sub(1);
+                    if block == Some(depth) {
+                        block = None;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
 }
 
 /// A `pub fn name` whose body uses the panic-on-error idiom, found by
@@ -446,6 +479,26 @@ mod tests {
         // Mentioning std::fs::File in a comment does not arm the check.
         let text = "// wraps std::fs::File\nfn f(&mut self) -> Result<(), E> {\n    self.file.sync_all()\n}\n";
         assert!(check_file(Path::new("x/src/os.rs"), text).is_empty());
+    }
+
+    #[test]
+    fn rawfile_impl_forwarding_sync_all_passes() {
+        // A wrapper `RawFile` forwarding `sync_all` to its inner `RawFile`
+        // is not a raw barrier, even in a file that names std::fs::File…
+        let text = "use std::fs::File;\n\
+                    impl<F: RawFile> RawFile for Timed<F> {\n\
+                    \x20   fn sync_all(&mut self) -> io::Result<()> {\n\
+                    \x20       let inner = &mut self.inner;\n\
+                    \x20       self.t.child(0, || inner.sync_all())\n\
+                    \x20   }\n\
+                    }\n\
+                    fn f(file: &File) {\n\
+                    \x20   file.sync_all().unwrap();\n\
+                    }\n";
+        // …but a `.sync_all(` after the impl block closes still is.
+        let f = check_file(Path::new("x/src/trace.rs"), text);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].line, 9);
     }
 
     #[test]

@@ -125,102 +125,6 @@ fn oif_par_eval_repeated_rounds_stay_identical() {
 }
 
 #[test]
-fn btree_mixed_readers_and_writers_linearize_to_serial_oracle() {
-    // The write-path acceptance test: concurrent cursors and point gets
-    // race `try_batch_insert` writers on one OLC-enabled tree. During the
-    // race no reader may observe a lost seed record or a phantom; once the
-    // writers quiesce the tree must be *exactly* the serial oracle.
-    use set_containment::btree::BTree;
-    use set_containment::pagestore::Pager;
-    use std::collections::BTreeMap;
-
-    let pager = Pager::with_cache_bytes(1 << 20);
-    pager.set_concurrent_writes(true);
-    let tree = {
-        let mut t = BTree::create(pager);
-        for i in 0..800u32 {
-            t.insert(&(i * 5).to_be_bytes(), &(i * 5).to_le_bytes())
-                .unwrap();
-        }
-        t
-    };
-    const WRITERS: usize = 4;
-    let batches: Vec<Vec<(Vec<u8>, Vec<u8>)>> = (0..WRITERS as u64)
-        .map(|w| {
-            (0..600u64)
-                .map(|i| {
-                    let key = 100_000 + i * WRITERS as u64 + w;
-                    (key.to_be_bytes().to_vec(), key.to_le_bytes().to_vec())
-                })
-                .collect()
-        })
-        .collect();
-    // The serial oracle: seed records plus every writer's batch.
-    let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = (0..800u32)
-        .map(|i| {
-            (
-                (i * 5).to_be_bytes().to_vec(),
-                (i * 5).to_le_bytes().to_vec(),
-            )
-        })
-        .collect();
-    for (k, v) in batches.iter().flatten() {
-        oracle.insert(k.clone(), v.clone());
-    }
-
-    std::thread::scope(|s| {
-        for batch in &batches {
-            let tree = &tree;
-            s.spawn(move || {
-                let fresh = tree.try_batch_insert(batch, 1).expect("batch insert");
-                assert_eq!(fresh, batch.len() as u64, "writer keys are disjoint");
-            });
-        }
-        for r in 0..3usize {
-            let (tree, oracle) = (&tree, &oracle);
-            s.spawn(move || {
-                for round in 0..40usize {
-                    // Point gets: a seed record can never be lost.
-                    let i = ((r * 131 + round * 17) % 800) as u32;
-                    let key = (i * 5).to_be_bytes();
-                    let got = tree.try_get(&key).expect("get");
-                    assert_eq!(
-                        got.as_deref(),
-                        Some(&(i * 5).to_le_bytes()[..]),
-                        "lost seed record {i}"
-                    );
-                    // Cursor scans: strictly ascending keys, and every
-                    // record seen mid-race must be one the oracle knows —
-                    // no phantoms, no torn values.
-                    let mut cursor = tree.try_seek(&key).expect("seek");
-                    let mut prev: Option<Vec<u8>> = None;
-                    for _ in 0..64 {
-                        let Some((k, v)) = cursor.try_next().expect("next") else {
-                            break;
-                        };
-                        if let Some(p) = &prev {
-                            assert!(&k > p, "cursor went backwards");
-                        }
-                        assert_eq!(oracle.get(&k), Some(&v), "phantom record {k:?}");
-                        prev = Some(k);
-                    }
-                }
-            });
-        }
-    });
-
-    // Quiesced: the final image is the serial oracle, record for record.
-    tree.check_invariants();
-    assert_eq!(tree.len(), oracle.len() as u64);
-    let mut cursor = tree.scan();
-    for (k, v) in &oracle {
-        let (gk, gv) = cursor.try_next().expect("next").expect("record");
-        assert_eq!((&gk, &gv), (k, v), "final scan diverged from serial oracle");
-    }
-    assert!(cursor.try_next().expect("next").is_none(), "extra records");
-}
-
-#[test]
 fn both_indexes_share_threads_against_brute_force() {
     // Belt and braces: concurrent answers are not just serial-consistent
     // but *correct* — spot-check a slice of the mixed workload against the
