@@ -135,6 +135,15 @@ impl FrameList {
     };
 }
 
+/// Which caller a dirty-frame write-back serves, and so which counter it
+/// bumps: `sync` counts [`IoStats::synced_pages`], a checkpoint slice
+/// [`IoStats::checkpoint_pages`].
+#[derive(Clone, Copy)]
+enum WriteBack {
+    Sync,
+    Checkpoint,
+}
+
 /// Everything guarded by the single policy lock: the disk, the eviction
 /// lists and the miss-side statistics.
 struct PolicyCore {
@@ -176,6 +185,55 @@ struct PolicyCore {
 }
 
 impl PolicyCore {
+    /// The write-back loop behind [`BufferPool::sync`] and
+    /// [`BufferPool::checkpoint_slice`]: write the `max_pages` lowest-phys
+    /// dirty frames, clear their dirty flags and count them under `kind`.
+    /// Returns how many frames were written.
+    ///
+    /// The dirty set is flushed in ascending physical-page order. The map
+    /// is a HashMap, so iterating it directly would issue the writes in a
+    /// per-run-random order — a large sync then degenerates into random
+    /// I/O. Sorted by physical page, consecutive dirty pages of one
+    /// structure become consecutive `pwrite`s (and, under the shadow
+    /// backend, claim ascending free slots), which is also what makes the
+    /// sync bench's bytes/wall numbers reproducible.
+    ///
+    /// A failed write leaves that frame dirty — nothing is lost — but
+    /// flips the pool to degraded read-only mode: the medium is refusing
+    /// writes, so further mutations would only pile up unfsyncable state.
+    fn write_back_dirty(&mut self, max_pages: usize, kind: WriteBack) -> Result<u64, StorageError> {
+        let mut dirty: Vec<(u64, u32)> = self
+            .map
+            .iter()
+            .filter(|&(_, &idx)| self.entry(idx).dirty)
+            .map(|(&phys, &idx)| (phys, idx))
+            .collect();
+        dirty.sort_unstable_by_key(|&(phys, _)| phys);
+        dirty.truncate(max_pages);
+        for &(phys, idx) in &dirty {
+            let slot = self.entry(idx).slot.clone();
+            // SAFETY: `&mut PolicyCore` means the policy lock is held, and
+            // every mutation path takes it, so the buffer cannot be mutated
+            // or recycled while we read it.
+            if let Err(e) = self.disk.write_phys(phys, unsafe { slot.bytes() }) {
+                self.read_only = Some(Arc::from(e.to_string().as_str()));
+                return Err(e);
+            }
+            self.entry_mut(idx).dirty = false;
+            let write_cost = self.cost.write;
+            self.stats.writes += 1;
+            self.stats.io_time += write_cost;
+            match kind {
+                WriteBack::Sync => {
+                    self.stats.synced_pages += 1;
+                    self.stats.synced_bytes += PAGE_SIZE as u64;
+                }
+                WriteBack::Checkpoint => self.stats.checkpoint_pages += 1,
+            }
+        }
+        Ok(dirty.len() as u64)
+    }
+
     fn entry(&self, idx: u32) -> &PolicyEntry {
         self.entries[idx as usize].as_ref().expect("live entry")
     }
@@ -301,10 +359,6 @@ pub struct BufferPool {
     /// Cache hits (the lock-free side of [`IoStats`]).
     hits: AtomicU64,
     policy: Mutex<PolicyCore>,
-    /// Group-commit coordination for [`BufferPool::group_sync`]. Lives
-    /// outside the policy lock: the leader holds no queue lock while
-    /// flushing, and waiters never touch the policy lock at all.
-    commit_queue: crate::commit::CommitQueue,
     /// Mutation hook for the model-checker teeth test: when set, the
     /// evictor skips its pin re-check under the shard write latch —
     /// reintroducing the exact race the protocol exists to prevent — so
@@ -313,22 +367,6 @@ pub struct BufferPool {
     /// modeled step. Never compiled into production builds.
     #[cfg(feature = "model")]
     model_break_evictor_pin_recheck: std::sync::atomic::AtomicBool,
-    /// Opt-in for the concurrent write path (optimistic lock coupling):
-    /// when set, flushes read frames through seqlock-validated snapshots
-    /// (skipping frames a latched writer currently holds) instead of raw
-    /// borrows. Off by default so the single-writer page-access counts —
-    /// the paper's golden gates — stay bit-for-bit. A plain std atomic:
-    /// it is configuration flipped before threads race, not a protocol
-    /// step the model checker needs to reorder.
-    concurrent_writes: std::sync::atomic::AtomicBool,
-    /// Mutation hook for the OLC model's teeth test: when set, versioned
-    /// pages report every snapshot as valid — readers stop noticing
-    /// concurrent latched writers, the exact bug the seqlock exists to
-    /// prevent — so `tests/model.rs` can assert the checker finds the
-    /// torn-read schedule deterministically. Never compiled into
-    /// production builds.
-    #[cfg(feature = "model")]
-    model_break_olc_version_check: std::sync::atomic::AtomicBool,
 }
 
 impl BufferPool {
@@ -367,54 +405,8 @@ impl BufferPool {
                 quarantine: BTreeMap::new(),
                 read_only: None,
             }),
-            commit_queue: crate::commit::CommitQueue::new(),
             #[cfg(feature = "model")]
             model_break_evictor_pin_recheck: std::sync::atomic::AtomicBool::new(false),
-            concurrent_writes: std::sync::atomic::AtomicBool::new(false),
-            #[cfg(feature = "model")]
-            model_break_olc_version_check: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Opt this pool in to (or out of) the concurrent write path. With it
-    /// on, latched page writes ([`BufferPool::try_with_page_mut`]) may run
-    /// while readers hold pins, and flushes snapshot frames through the
-    /// content seqlock. Flip it before concurrent writers start; the
-    /// default (off) keeps the historical single-writer behaviour and page
-    /// accounting bit-for-bit.
-    pub fn set_concurrent_writes(&self, on: bool) {
-        self.concurrent_writes
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the concurrent write path is enabled.
-    pub fn concurrent_writes(&self) -> bool {
-        self.concurrent_writes
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Disable optimistic version validation (model builds only; see the
-    /// field doc). The checker must then find the torn-snapshot schedule —
-    /// the mutation test proving the OLC model has teeth.
-    #[cfg(feature = "model")]
-    pub fn model_break_olc_version_check(&self) {
-        self.model_break_olc_version_check
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether optimistic snapshots actually validate (always, outside
-    /// model builds).
-    #[inline]
-    pub(crate) fn olc_version_check_enabled(&self) -> bool {
-        #[cfg(feature = "model")]
-        {
-            !self
-                .model_break_olc_version_check
-                .load(std::sync::atomic::Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "model"))]
-        {
-            true
         }
     }
 
@@ -612,10 +604,7 @@ impl BufferPool {
     /// Pinned dirty frames are flushed too: the policy lock excludes every
     /// writer (`write_page`, recycling), so reading their buffers here is
     /// safe, and their pins only protect the bytes from *changing*, which a
-    /// write-back does not do. With the concurrent write path enabled,
-    /// frames held by an *active* latched writer are skipped (they stay
-    /// dirty for the next flush) — quiesce writers before `sync` when the
-    /// barrier must cover every in-flight mutation.
+    /// write-back does not do.
     pub fn sync(&self) -> Result<(), StorageError> {
         let mut core = self.policy.lock();
         // A degraded pool refuses the barrier outright: a prior write-back
@@ -626,66 +615,7 @@ impl BufferPool {
                 "buffer pool is in degraded read-only mode: {cause}"
             ))));
         }
-        // Flush the dirty set in ascending physical-page order. The map is
-        // a HashMap, so iterating it directly would issue the writes in a
-        // per-run-random order — a large sync then degenerates into random
-        // I/O. Sorted by physical page, consecutive dirty pages of one
-        // structure become consecutive `pwrite`s (and, under the shadow
-        // backend, claim ascending free slots), which is also what makes
-        // the sync bench's bytes/wall numbers reproducible.
-        let mut dirty: Vec<(u64, u32)> = core
-            .map
-            .iter()
-            .filter(|&(_, &idx)| core.entry(idx).dirty)
-            .map(|(&phys, &idx)| (phys, idx))
-            .collect();
-        dirty.sort_unstable_by_key(|&(phys, _)| phys);
-        let concurrent = self.concurrent_writes();
-        let mut scratch: Option<Box<[u8; PAGE_SIZE]>> = None;
-        for (phys, idx) in dirty {
-            let slot = core.entry(idx).slot.clone();
-            let write_res = if concurrent {
-                // Concurrent write path: a latched writer may be mutating
-                // the buffer right now, so flush a seqlock-validated
-                // snapshot. A frame whose writer stays active through the
-                // bounded attempts is *skipped* (it keeps its dirty flag
-                // and reaches the medium on the next flush) — never waited
-                // on, since that writer may itself be waiting for the
-                // policy lock we hold.
-                let buf = scratch.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-                let mut consistent = false;
-                for _ in 0..crate::frame::OPTIMISTIC_SNAPSHOT_RETRIES {
-                    if slot.try_snapshot_into(buf).is_some() {
-                        consistent = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                if !consistent {
-                    continue;
-                }
-                core.disk.write_phys(phys, &buf[..])
-            } else {
-                // SAFETY: the policy lock is held and (single-writer mode)
-                // every mutation path takes it, so the buffer cannot be
-                // mutated or recycled while we read it.
-                core.disk.write_phys(phys, unsafe { slot.bytes() })
-            };
-            if let Err(e) = write_res {
-                // The frame keeps its dirty flag — nothing was lost — but
-                // the pool flips to degraded read-only mode: the medium is
-                // refusing writes, so further mutations would only pile up
-                // unfsyncable state.
-                core.read_only = Some(Arc::from(e.to_string().as_str()));
-                return Err(e);
-            }
-            core.entry_mut(idx).dirty = false;
-            let write_cost = core.cost.write;
-            core.stats.writes += 1;
-            core.stats.synced_pages += 1;
-            core.stats.synced_bytes += PAGE_SIZE as u64;
-            core.stats.io_time += write_cost;
-        }
+        core.write_back_dirty(usize::MAX, WriteBack::Sync)?;
         if let Err(e) = core.disk.sync() {
             core.read_only = Some(Arc::from(e.to_string().as_str()));
             return Err(e);
@@ -712,38 +642,13 @@ impl BufferPool {
         })
     }
 
-    /// Group-committing twin of [`BufferPool::sync`]: concurrent callers
-    /// coalesce onto one flush via the pool's [`CommitQueue`]
-    /// (see [`crate::commit`]); each returns once a flush covering its
-    /// ticket has committed, with the durable storage epoch. A flush
-    /// failure degrades the pool (like `sync`) and surfaces to every
-    /// covered caller as [`PageError::ReadOnly`].
-    pub fn group_sync(&self) -> Result<u64, PageError> {
-        self.commit_queue
-            .commit(|| match self.sync() {
-                Ok(()) => Ok(self.policy.lock().disk.epoch()),
-                Err(e) => Err(self
-                    .policy
-                    .lock()
-                    .read_only
-                    .clone()
-                    .unwrap_or_else(|| Arc::from(e.to_string().as_str()))),
-            })
-            .map_err(|cause| PageError::ReadOnly { cause })
-    }
-
-    /// Group-commit counters (flush amortisation, waiter high-water).
-    pub fn commit_queue_stats(&self) -> crate::commit::CommitQueueStats {
-        self.commit_queue.stats()
-    }
-
     /// Flush up to `max_pages` dirty frames (ascending physical order,
     /// like `sync`) **without** a commit flip — the background
     /// checkpointer's work unit. The flushed pages land in fresh shadow
-    /// slots and become durable at the next `sync`/`group_sync`; until
-    /// then recovery still sees the previous epoch, so a crash mid-slice
-    /// loses nothing. Returns how many frames were flushed (0 = pool
-    /// clean). A write failure degrades the pool exactly like `sync`.
+    /// slots and become durable at the next `sync`; until then recovery
+    /// still sees the previous epoch, so a crash mid-slice loses nothing.
+    /// Returns how many frames were flushed (0 = pool clean). A write
+    /// failure degrades the pool exactly like `sync`.
     pub fn checkpoint_slice(&self, max_pages: usize) -> Result<u64, PageError> {
         let mut core = self.policy.lock();
         if let Some(cause) = &core.read_only {
@@ -751,58 +656,10 @@ impl BufferPool {
                 cause: cause.clone(),
             });
         }
-        let mut dirty: Vec<(u64, u32)> = core
-            .map
-            .iter()
-            .filter(|&(_, &idx)| core.entry(idx).dirty)
-            .map(|(&phys, &idx)| (phys, idx))
-            .collect();
-        dirty.sort_unstable_by_key(|&(phys, _)| phys);
-        dirty.truncate(max_pages);
-        let concurrent = self.concurrent_writes();
-        let mut scratch: Option<Box<[u8; PAGE_SIZE]>> = None;
-        let mut flushed = 0u64;
-        for &(phys, idx) in &dirty {
-            let slot = core.entry(idx).slot.clone();
-            let write_res = if concurrent {
-                // Same skip-don't-wait discipline as `sync`: a frame held
-                // by an active latched writer stays dirty for a later
-                // slice rather than deadlocking against a writer that
-                // needs the policy lock we hold.
-                let buf = scratch.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-                let mut consistent = false;
-                for _ in 0..crate::frame::OPTIMISTIC_SNAPSHOT_RETRIES {
-                    if slot.try_snapshot_into(buf).is_some() {
-                        consistent = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-                if !consistent {
-                    continue;
-                }
-                core.disk.write_phys(phys, &buf[..])
-            } else {
-                // SAFETY: the policy lock is held and (single-writer mode)
-                // every mutation path takes it, so the buffer cannot be
-                // mutated or recycled while we read it.
-                core.disk.write_phys(phys, unsafe { slot.bytes() })
-            };
-            if let Err(e) = write_res {
-                // The frame keeps its dirty flag; the pool degrades just
-                // like a failed `sync` write-back would.
-                let cause: Arc<str> = Arc::from(e.to_string().as_str());
-                core.read_only = Some(cause.clone());
-                return Err(PageError::ReadOnly { cause });
-            }
-            core.entry_mut(idx).dirty = false;
-            let write_cost = core.cost.write;
-            core.stats.writes += 1;
-            core.stats.checkpoint_pages += 1;
-            core.stats.io_time += write_cost;
-            flushed += 1;
-        }
-        Ok(flushed)
+        core.write_back_dirty(max_pages, WriteBack::Checkpoint)
+            .map_err(|e| PageError::ReadOnly {
+                cause: Arc::from(e.to_string().as_str()),
+            })
     }
 
     /// Fold write-ahead-log activity (see [`Wal`](crate::Wal)) into this
@@ -822,16 +679,13 @@ impl BufferPool {
     }
 
     /// Leave degraded read-only mode after the medium healed: clears the
-    /// sticky cause (and any sticky group-commit failure) so mutations
-    /// and syncs are admitted again. Returns whether the pool *was*
-    /// degraded. Dirty frames that were stranded stay dirty and flush on
-    /// the next sync; callers should verify the medium first
-    /// ([`BufferPool::scrub`]) — if it is still broken, the next
-    /// write-back simply re-degrades the pool.
+    /// sticky cause so mutations and syncs are admitted again. Returns
+    /// whether the pool *was* degraded. Dirty frames that were stranded
+    /// stay dirty and flush on the next sync; callers should verify the
+    /// medium first ([`BufferPool::scrub`]) — if it is still broken, the
+    /// next write-back simply re-degrades the pool.
     pub fn clear_degraded(&self) -> bool {
-        let was = self.policy.lock().read_only.take().is_some();
-        self.commit_queue.reset_failure();
-        was
+        self.policy.lock().read_only.take().is_some()
     }
 
     fn shard_of(&self, key: (FileId, PageId)) -> &Shard {
@@ -1157,80 +1011,6 @@ impl BufferPool {
         }
         core.entry_mut(idx).dirty = true;
         Ok(())
-    }
-
-    /// Mark the cached frame holding `phys` dirty. The caller must hold a
-    /// pin on it (so the mapping cannot change under us).
-    fn mark_dirty_phys(&self, phys: u64) {
-        let mut core = self.policy.lock();
-        if let Some(&idx) = core.map.get(&phys) {
-            core.entry_mut(idx).dirty = true;
-        }
-    }
-
-    /// Edit a page **in place** under the frame's write latch — the
-    /// concurrent write path's mutation primitive. The page is pinned and
-    /// fetched like any read (same miss accounting), the frame latch is
-    /// taken exclusively, the content seqlock goes odd, and `f` gets the
-    /// raw buffer; concurrent optimistic readers either retry or block on
-    /// the shared latch, and never observe a torn page.
-    ///
-    /// Refused with [`PageError::ReadOnly`] when the pool is degraded
-    /// (checked before any byte moves). Unlike
-    /// [`BufferPool::try_write_page`] this works *with* reader pins
-    /// outstanding — that is its whole point — so callers must route every
-    /// concurrent read of such pages through versioned snapshots
-    /// ([`crate::VersionedPage`]), not plain guards.
-    ///
-    /// `f` may call back into the pool (e.g. to allocate or latch another
-    /// page, as a structure modification must): policy-lock holders never
-    /// block on frame latches (flushes skip latched frames), so the nested
-    /// acquisition cannot deadlock.
-    pub fn try_with_page_mut<R>(
-        &self,
-        file: FileId,
-        page: PageId,
-        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
-    ) -> Result<R, PageError> {
-        let pinned = self.try_acquire(file, page)?;
-        let phys = pinned.slot().phys();
-        {
-            // Degraded gate + pre-mark dirty under the policy lock, before
-            // any byte moves.
-            let mut core = self.policy.lock();
-            if let Some(cause) = &core.read_only {
-                return Err(PageError::ReadOnly {
-                    cause: cause.clone(),
-                });
-            }
-            if let Some(&idx) = core.map.get(&phys) {
-                core.entry_mut(idx).dirty = true;
-            }
-        }
-        let slot = pinned.slot();
-        let r = slot.with_latched_write(|| {
-            // SAFETY: inside `with_latched_write` the frame latch is held
-            // exclusively and the content seqlock is odd — the concurrent-
-            // path exclusivity contract of `buffer_mut`.
-            f(unsafe { slot.buffer_mut() })
-        });
-        // Re-mark dirty: a flush between the pre-mark and the latch
-        // acquisition may have written the old bytes back and cleared the
-        // flag; the mutation must not be silently lost to eviction. The
-        // pin held above guarantees the mapping is unchanged.
-        self.mark_dirty_phys(phys);
-        Ok(r)
-    }
-
-    /// Pin a page for versioned optimistic reads — the concurrent write
-    /// path's read primitive (see [`crate::VersionedPage`]). Accounting is
-    /// identical to any other pin.
-    pub(crate) fn try_pin_versioned_slot(
-        &self,
-        file: FileId,
-        page: PageId,
-    ) -> Result<PinnedSlot, PageError> {
-        self.try_acquire(file, page)
     }
 
     /// Write every dirty unpinned frame back to disk (charging write costs)
@@ -1975,6 +1755,8 @@ mod tests {
         corrupt: std::collections::HashSet<u64>,
         /// When set, every `write_phys` fails hard.
         fail_writes: bool,
+        /// Physical pages of the successful `write_phys` calls, in order.
+        writes: Vec<u64>,
     }
 
     /// A [`Disk`] whose faults are scripted by a shared [`FaultPlan`].
@@ -2017,11 +1799,13 @@ mod tests {
             self.inner.read_phys(phys, out)
         }
         fn write_phys(&mut self, phys: u64, data: &[u8]) -> Result<(), StorageError> {
-            if self.plan.lock().unwrap().fail_writes {
+            let mut plan = self.plan.lock().unwrap();
+            if plan.fail_writes {
                 return Err(StorageError::Io(std::io::Error::other(
                     "simulated dead sector",
                 )));
             }
+            plan.writes.push(phys);
             self.inner.write_phys(phys, data)
         }
         fn put_catalog(&mut self, key: &str, bytes: &[u8]) {
@@ -2175,6 +1959,50 @@ mod tests {
         p.try_read_page(f, 0, &mut buf)
             .expect("dirty page readable");
         assert_eq!(buf[3], 33);
+    }
+
+    #[test]
+    fn checkpoint_slice_flushes_the_lowest_dirty_pages_and_degrades_on_failure() {
+        let (p, f, plan, _clock) = flaky_pool(8);
+        for _ in 0..6 {
+            p.allocate_page(f);
+        }
+        for pg in [4u64, 1, 5, 0, 3, 2] {
+            p.write_page(f, pg, &[pg as u8 + 1; PAGE_SIZE]);
+        }
+        plan.lock().unwrap().writes.clear();
+        p.reset_stats();
+
+        // Each slice takes the k lowest-phys dirty frames, in order, and
+        // counts them as checkpoint pages, never as synced ones.
+        assert_eq!(p.checkpoint_slice(2).unwrap(), 2);
+        assert_eq!(plan.lock().unwrap().writes, [0, 1]);
+        assert_eq!(p.checkpoint_slice(3).unwrap(), 3);
+        assert_eq!(plan.lock().unwrap().writes, [0, 1, 2, 3, 4]);
+        let s = p.stats();
+        assert_eq!((s.checkpoint_pages, s.synced_pages, s.writes), (5, 0, 5));
+
+        // A failed write-back degrades the pool; the frame stays dirty.
+        plan.lock().unwrap().fail_writes = true;
+        let err = p.checkpoint_slice(2).unwrap_err();
+        assert!(matches!(err, PageError::ReadOnly { .. }), "got: {err:?}");
+        assert!(err.to_string().contains("dead sector"), "got: {err}");
+        assert!(p.degraded().is_some(), "failed slice must degrade");
+        assert!(matches!(
+            p.checkpoint_slice(2),
+            Err(PageError::ReadOnly { .. })
+        ));
+        assert_eq!(p.stats().checkpoint_pages, 5);
+
+        // Healed, the stranded page flushes with the next sync and counts
+        // as a synced page.
+        plan.lock().unwrap().fail_writes = false;
+        assert!(p.clear_degraded());
+        p.sync().unwrap();
+        assert_eq!(plan.lock().unwrap().writes, [0, 1, 2, 3, 4, 5]);
+        let s = p.stats();
+        assert_eq!((s.checkpoint_pages, s.synced_pages), (5, 1));
+        assert_eq!(p.checkpoint_slice(4).unwrap(), 0, "pool is clean");
     }
 
     #[test]

@@ -1,190 +1,26 @@
-//! Group commit and the background checkpointer.
+//! The background checkpointer.
 //!
 //! A shadow-paged commit ([`FileStorage::sync`](crate::FileStorage)) costs
 //! two device flushes no matter how little changed, and the pool's
 //! [`sync`](crate::BufferPool::sync) stalls its caller while the whole
-//! dirty set flushes. This module splits that cost two ways:
+//! dirty set flushes. A [`Checkpointer`] is a **background thread** that
+//! trickles dirty frames to the medium in bounded slices
+//! ([`BufferPool::checkpoint_slice`](crate::BufferPool::checkpoint_slice)),
+//! so the eventual commit flip finds an almost-clean pool and the
+//! foreground `sync` has little left to write. It shuts down cleanly
+//! (signal + join) and hands off to degraded read-only mode if the medium
+//! dies mid-checkpoint: the thread parks itself, records the cause, and
+//! leaves the pool serving reads.
 //!
-//! * [`CommitQueue`] — **group commit**. Concurrent committers take a
-//!   ticket; the first one in becomes the *leader*, runs one flush
-//!   covering every ticket issued so far, and wakes the rest with the
-//!   durable epoch. Callers that arrive while a flush is in flight wait
-//!   and are covered by the *next* flush (one of them leads it). N
-//!   concurrent commits therefore cost far fewer than N flushes — the
-//!   commit bench measures the amortisation. Built exclusively on the
-//!   crate's [`sync`](crate::sync) facade, so under the `model` feature
-//!   the whole protocol runs on the `loom` checker (no lost wakeups,
-//!   bounded waiters — see `tests/model.rs`).
-//! * [`Checkpointer`] — a **background thread** that trickles dirty
-//!   frames to the medium in bounded slices
-//!   ([`BufferPool::checkpoint_slice`](crate::BufferPool::checkpoint_slice)),
-//!   so the eventual commit flip finds an almost-clean pool and the
-//!   foreground `sync` degenerates to "wait until my epoch is durable".
-//!   It shuts down cleanly (signal + join) and hands off to degraded
-//!   read-only mode if the medium dies mid-checkpoint: the thread parks
-//!   itself, records the cause, and leaves the pool serving reads.
-//!
-//! Neither is wired up by default: a plain [`Pager`](crate::Pager) on
-//! [`MemStorage`](crate::MemStorage) behaves exactly as before (the
-//! golden page gates depend on it). Group commit engages only through
-//! [`Pager::group_sync`](crate::Pager::group_sync), the checkpointer only
-//! through [`Pager::start_checkpointer`](crate::Pager::start_checkpointer).
-
-use crate::sync::{Condvar, Mutex};
-use std::sync::Arc;
-
-/// Outcome counters of a [`CommitQueue`], for tests and benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommitQueueStats {
-    /// Logical commits acknowledged.
-    pub commits: u64,
-    /// Physical flushes actually run (≤ `commits`; the gap is the
-    /// amortisation group commit buys).
-    pub flushes: u64,
-    /// High-water mark of committers blocked waiting at once.
-    pub max_waiters: usize,
-}
-
-struct QueueState {
-    /// Tickets issued. A committer's ticket is `submitted` after its
-    /// increment; a flush covers every ticket issued before it started.
-    submitted: u64,
-    /// Every ticket ≤ `durable` has been covered by a successful flush.
-    durable: u64,
-    /// Storage commit epoch reported by the latest successful flush.
-    epoch: u64,
-    /// True while a leader runs a flush outside the lock.
-    flushing: bool,
-    commits: u64,
-    flushes: u64,
-    waiters: usize,
-    max_waiters: usize,
-    /// Sticky failure: once a flush fails the medium is suspect and every
-    /// current and future committer gets the cause (the pool degrades to
-    /// read-only in the same breath). Cleared by
-    /// [`CommitQueue::reset_failure`] on heal.
-    fail: Option<Arc<str>>,
-}
-
-/// Ticket-based group commit: see the module docs.
-pub struct CommitQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-impl CommitQueue {
-    pub fn new() -> Self {
-        CommitQueue {
-            state: Mutex::new(QueueState {
-                submitted: 0,
-                durable: 0,
-                epoch: 0,
-                flushing: false,
-                commits: 0,
-                flushes: 0,
-                waiters: 0,
-                max_waiters: 0,
-                fail: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Commit: take a ticket, then either lead one flush covering every
-    /// outstanding ticket or wait to be covered by another leader's
-    /// flush. Returns the durable storage epoch the caller's ticket is
-    /// included in. `flush` must make *everything submitted so far*
-    /// durable and report the resulting epoch — for the pool that is
-    /// [`BufferPool::sync`](crate::BufferPool::sync), whose policy lock
-    /// already serialises it against concurrent writers.
-    ///
-    /// On a flush failure every covered committer (and all later ones)
-    /// receives the cause; see `QueueState::fail`.
-    pub fn commit(&self, flush: impl FnOnce() -> Result<u64, Arc<str>>) -> Result<u64, Arc<str>> {
-        let mut flush = Some(flush);
-        let mut s = self.state.lock();
-        if let Some(cause) = &s.fail {
-            return Err(cause.clone());
-        }
-        s.submitted += 1;
-        let ticket = s.submitted;
-        loop {
-            if let Some(cause) = &s.fail {
-                return Err(cause.clone());
-            }
-            if s.durable >= ticket {
-                s.commits += 1;
-                return Ok(s.epoch);
-            }
-            if !s.flushing {
-                // Lead: cover every ticket issued up to now, flush
-                // outside the lock so new committers can queue meanwhile.
-                s.flushing = true;
-                let target = s.submitted;
-                drop(s);
-                let result = (flush.take().expect("a committer leads at most once"))();
-                s = self.state.lock();
-                s.flushing = false;
-                s.flushes += 1;
-                match result {
-                    Ok(epoch) => {
-                        s.durable = s.durable.max(target);
-                        s.epoch = epoch;
-                    }
-                    Err(cause) => s.fail = Some(cause),
-                }
-                // Wake everyone: covered waiters return, uncovered ones
-                // race to lead the next flush. `notify_all` under the
-                // lock after the state change — no lost wakeups.
-                self.cv.notify_all();
-                return match &s.fail {
-                    Some(cause) => Err(cause.clone()),
-                    None => {
-                        s.commits += 1;
-                        Ok(s.epoch)
-                    }
-                };
-            }
-            s.waiters += 1;
-            s.max_waiters = s.max_waiters.max(s.waiters);
-            s = self.cv.wait(s);
-            s.waiters -= 1;
-        }
-    }
-
-    /// Counters snapshot.
-    pub fn stats(&self) -> CommitQueueStats {
-        let s = self.state.lock();
-        CommitQueueStats {
-            commits: s.commits,
-            flushes: s.flushes,
-            max_waiters: s.max_waiters,
-        }
-    }
-
-    /// Clear a sticky flush failure after the medium healed (paired with
-    /// [`BufferPool::clear_degraded`](crate::BufferPool::clear_degraded)).
-    /// Returns whether a failure was pending.
-    pub fn reset_failure(&self) -> bool {
-        let mut s = self.state.lock();
-        let was = s.fail.take().is_some();
-        if was {
-            self.cv.notify_all();
-        }
-        was
-    }
-}
-
-impl Default for CommitQueue {
-    fn default() -> Self {
-        CommitQueue::new()
-    }
-}
+//! It is not wired up by default: a plain [`Pager`](crate::Pager) on
+//! [`MemStorage`](crate::MemStorage) behaves exactly as before (the golden
+//! page gates depend on it). The checkpointer engages only through
+//! [`Pager::start_checkpointer`](crate::Pager::start_checkpointer).
 
 // The checkpointer drives a real OS thread on a timer, which the loom
 // model cannot (and need not) schedule — under the `model` feature it is
 // compiled out entirely, keeping model builds free of non-deterministic
-// actors. The CommitQueue above *is* model-checked.
+// actors.
 #[cfg(not(feature = "model"))]
 pub use real_checkpointer::{Checkpointer, CheckpointerConfig};
 
@@ -280,7 +116,7 @@ mod real_checkpointer {
         }
 
         /// Signal the thread and join it. Pending dirty frames simply
-        /// stay dirty — the next `sync`/`group_sync` flushes them; no
+        /// stay dirty — the next `sync` flushes them; no
         /// durability is lost by stopping the trickle.
         pub fn shutdown(mut self) {
             self.stop_and_join();
@@ -361,62 +197,52 @@ mod real_checkpointer {
 
 #[cfg(test)]
 mod tests {
+    #[cfg(not(feature = "model"))]
     use super::*;
 
     #[test]
     fn single_committer_leads_its_own_flush() {
-        let q = CommitQueue::new();
-        let epoch = q.commit(|| Ok(7)).expect("commit");
-        assert_eq!(epoch, 7);
-        let s = q.stats();
-        assert_eq!((s.commits, s.flushes, s.max_waiters), (1, 1, 0));
+        use crate::{FileStorage, MemFile, Pager, PAGE_SIZE};
+        let pager = Pager::with_storage(
+            FileStorage::create_on(Box::new(MemFile::new())).expect("create"),
+            8 * PAGE_SIZE,
+        );
+        let f = pager.create_file();
+        pager.allocate_page(f);
+        pager.write_page(f, 0, &[7u8; PAGE_SIZE]);
+        let before = pager.durable_epoch();
+        let epoch = pager.group_sync().expect("commit");
+        assert!(epoch > before, "the commit flips to a new epoch");
+        assert_eq!(epoch, pager.durable_epoch());
+        assert_eq!(pager.stats().synced_pages, 1);
     }
 
     #[test]
     fn failure_is_sticky_until_reset() {
-        let q = CommitQueue::new();
-        let err = q.commit(|| Err(Arc::from("medium died"))).unwrap_err();
-        assert_eq!(&*err, "medium died");
-        // The next committer must not even attempt a flush.
-        let err = q
-            .commit(|| -> Result<u64, Arc<str>> { panic!("flush after failure") })
-            .unwrap_err();
-        assert_eq!(&*err, "medium died");
-        assert!(q.reset_failure());
-        assert!(!q.reset_failure());
-        assert_eq!(q.commit(|| Ok(3)).expect("healed"), 3);
-    }
-
-    #[test]
-    fn concurrent_committers_amortise_flushes() {
-        // 8 threads × 4 commits against a flush that takes long enough
-        // for queues to form: total flushes must come in under total
-        // commits (group commit working), and every commit must succeed.
-        let q = Arc::new(CommitQueue::new());
-        let flushed = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let q = q.clone();
-                let flushed = flushed.clone();
-                scope.spawn(move || {
-                    for _ in 0..4 {
-                        q.commit(|| {
-                            std::thread::sleep(std::time::Duration::from_millis(1));
-                            Ok(flushed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1)
-                        })
-                        .expect("commit");
-                    }
-                });
-            }
+        use crate::{FaultConfig, FaultStorage, PageError, Pager, PAGE_SIZE};
+        let (storage, faults) = FaultStorage::create(FaultConfig::default()).expect("create");
+        let pager = Pager::with_storage(storage, 8 * PAGE_SIZE);
+        let f = pager.create_file();
+        pager.allocate_page(f);
+        pager.write_page(f, 0, &[1u8; PAGE_SIZE]);
+        // The next storage operation — the page write-back — fails.
+        faults.set_fault_config(FaultConfig {
+            transient_writes: vec![faults.ops()],
+            ..FaultConfig::default()
         });
-        let s = q.stats();
-        assert_eq!(s.commits, 32);
-        assert_eq!(s.flushes, flushed.load(std::sync::atomic::Ordering::SeqCst));
-        assert!(
-            s.flushes < s.commits,
-            "32 overlapping commits must share flushes, got {} flushes",
-            s.flushes
-        );
+        let err = pager.group_sync().expect_err("write-back must fail");
+        assert!(matches!(err, PageError::ReadOnly { .. }), "got {err:?}");
+        // The degraded pool refuses the next commit without touching
+        // storage, although the medium would now accept the write.
+        let ops = faults.ops();
+        let err = pager.group_sync().expect_err("degraded pool refuses");
+        assert!(matches!(err, PageError::ReadOnly { .. }), "got {err:?}");
+        assert_eq!(faults.ops(), ops, "no write reached storage");
+        assert!(pager.clear_degraded());
+        assert!(!pager.clear_degraded());
+        let epoch = pager.group_sync().expect("healed");
+        assert_eq!(epoch, pager.durable_epoch());
+        assert!(faults.ops() > ops, "the healed commit wrote");
     }
 
     #[cfg(not(feature = "model"))]

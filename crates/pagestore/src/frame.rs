@@ -1,4 +1,4 @@
-//! Frame slots: stable page buffers with per-frame atomic latches.
+//! Frame slots: stable page buffers with per-frame atomic pin latches.
 //!
 //! A [`FrameSlot`] is one cached page's home: a heap-allocated `PAGE_SIZE`
 //! buffer plus the atomic metadata that lets readers latch it without any
@@ -14,18 +14,6 @@
 //!   page; debug assertions use it to catch stale-slot bugs.
 //! * `phys` — the physical page currently held, for LRU touch bookkeeping
 //!   and diagnostics.
-//! * `content` / `latch` — the optimistic-lock-coupling surface for pools
-//!   running the concurrent write path (`set_concurrent_writes(true)`).
-//!   `content` is a seqlock word over the page *bytes*: writers hold the
-//!   frame `latch` exclusively and bump it to odd before mutating and back
-//!   to even after, so an optimistic reader can copy the page without any
-//!   lock and discard the copy if the word moved (or was odd). Readers
-//!   that keep losing the race fall back to the blocking shared `latch`,
-//!   which also keeps the protocol finite under the loom model checker
-//!   (an unbounded spin would be an unbounded schedule tree). Pools that
-//!   never enable concurrent writes never touch either field, so the
-//!   default single-writer behaviour — and the paper's page-access
-//!   counts — are bit-for-bit unchanged.
 //!
 //! Slots are shared via `Arc`: the buffer pool's mapping shards, its
 //! eviction bookkeeping and every live guard each hold a reference, so a
@@ -38,14 +26,8 @@
 
 use crate::disk::PAGE_SIZE;
 use crate::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use crate::sync::RwLock;
 use std::ptr::NonNull;
 use std::sync::Arc;
-
-/// Optimistic snapshot attempts before a reader falls back to the blocking
-/// shared latch. Each attempt is two atomic loads plus a page copy; under
-/// the model checker the bound keeps the schedule tree finite.
-pub(crate) const OPTIMISTIC_SNAPSHOT_RETRIES: usize = 8;
 
 /// One cached page frame. See the module docs for the latch protocol.
 pub(crate) struct FrameSlot {
@@ -55,14 +37,6 @@ pub(crate) struct FrameSlot {
     version: AtomicU64,
     /// Outstanding reader pins — the per-frame latch.
     pin: AtomicU32,
-    /// Seqlock over the page bytes for the concurrent write path: odd
-    /// while a latched writer is mutating, bumped again (even) when it is
-    /// done. Untouched by the default single-writer path.
-    content: AtomicU64,
-    /// Frame write latch for the concurrent write path: writers hold it
-    /// exclusively across a mutation; readers take it shared only as the
-    /// fallback when optimistic snapshots keep failing.
-    latch: RwLock<()>,
     /// Stable heap allocation holding the page bytes; freed in `Drop`.
     data: NonNull<[u8; PAGE_SIZE]>,
 }
@@ -71,10 +45,7 @@ pub(crate) struct FrameSlot {
 // shared `&[u8]` views exist only while `pin > 0` (during which the pool
 // never writes or recycles the buffer), and mutation happens only with
 // `pin == 0` under the pool's policy lock plus the owning shard's write
-// latch, or (concurrent write path) under the frame's exclusive `latch`
-// with the `content` seqlock odd, where readers go through validated
-// snapshots instead of `&[u8]` views. Nothing is tied to a particular
-// thread.
+// latch. Nothing is tied to a particular thread.
 unsafe impl Send for FrameSlot {}
 unsafe impl Sync for FrameSlot {}
 
@@ -84,8 +55,6 @@ impl FrameSlot {
             phys: AtomicU64::new(phys),
             version: AtomicU64::new(0),
             pin: AtomicU32::new(0),
-            content: AtomicU64::new(0),
-            latch: RwLock::new(()),
             data: NonNull::from(Box::leak(data)),
         }
     }
@@ -135,14 +104,9 @@ impl FrameSlot {
     /// Exclusive access to the page buffer.
     ///
     /// # Safety
-    /// The caller must guarantee exclusivity, one of:
-    /// * `pin == 0` *and* no concurrent reader can acquire a pin (slot
-    ///   unmapped, or the owning shard's write latch held) — the default
-    ///   single-writer path; or
-    /// * the frame `latch` is held exclusively inside
-    ///   [`FrameSlot::with_latched_write`] — the concurrent write path,
-    ///   where pinned readers exist but only ever observe the bytes
-    ///   through seqlock-validated snapshots or under the shared latch.
+    /// The caller must guarantee exclusivity: `pin == 0` *and* no
+    /// concurrent reader can acquire a pin (slot unmapped, or the owning
+    /// shard's write latch held).
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn buffer_mut(&self) -> &mut [u8; PAGE_SIZE] {
         &mut *self.data.as_ptr()
@@ -156,82 +120,6 @@ impl FrameSlot {
         debug_assert_eq!(self.pin_count(), 0, "cannot recycle a pinned slot");
         self.phys.store(phys, Ordering::Release);
         self.version.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Current content-seqlock word (odd while a latched writer is
-    /// mutating the page bytes).
-    pub(crate) fn content_version(&self) -> u64 {
-        self.content.load(Ordering::Acquire)
-    }
-
-    /// Run `f` holding the frame write latch, with the content seqlock odd
-    /// for the duration — the only sanctioned way to mutate a page that
-    /// concurrent optimistic readers may be snapshotting. The seqlock is
-    /// restored to even even if `f` unwinds, so a panicking callback
-    /// cannot wedge every future optimistic read of this frame into the
-    /// slow path.
-    pub(crate) fn with_latched_write<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _latch = self.latch.write();
-        let odd = self.content.fetch_add(1, Ordering::AcqRel);
-        debug_assert_eq!(odd & 1, 0, "nested latched write on one frame");
-        struct Parity<'a>(&'a AtomicU64);
-        impl Drop for Parity<'_> {
-            fn drop(&mut self) {
-                let even = self.0.fetch_add(1, Ordering::AcqRel);
-                debug_assert_eq!(even & 1, 1, "seqlock parity lost");
-            }
-        }
-        let _parity = Parity(&self.content);
-        f()
-    }
-
-    /// One optimistic seqlock read: copy the page into `out` without any
-    /// lock and return the (even) content version the copy is consistent
-    /// with, or `None` if a writer was active or intervened.
-    ///
-    /// The caller must hold a pin (so the buffer cannot be recycled or
-    /// freed); torn bytes from a concurrent latched writer are possible in
-    /// `out` but are detected and discarded via the version re-check.
-    pub(crate) fn try_snapshot_into(&self, out: &mut [u8; PAGE_SIZE]) -> Option<u64> {
-        let before = self.content.load(Ordering::Acquire);
-        if before & 1 == 1 {
-            return None;
-        }
-        // SAFETY: the pin keeps the allocation alive; the copy itself may
-        // race a latched writer, which is why it goes through volatile
-        // word reads (never materialising a `&` over the racing bytes) and
-        // why the result is only *used* if the seqlock word is unchanged
-        // afterwards.
-        unsafe {
-            let src = self.data.as_ptr() as *const u64;
-            let dst = out.as_mut_ptr() as *mut u64;
-            for i in 0..(PAGE_SIZE / 8) as isize {
-                dst.offset(i).write(src.offset(i).read_volatile());
-            }
-        }
-        let after = self.content.load(Ordering::Acquire);
-        (before == after).then_some(before)
-    }
-
-    /// Consistent page snapshot for the concurrent write path: a few
-    /// optimistic attempts, then a blocking shared-latch copy (writers are
-    /// excluded while the shared latch is held, so that copy is always
-    /// consistent). Returns the content version the snapshot reflects.
-    ///
-    /// Callers must hold a pin and must not hold the pool's policy lock
-    /// (the latch fallback may block on a writer that is waiting for it).
-    pub(crate) fn snapshot_into(&self, out: &mut [u8; PAGE_SIZE]) -> u64 {
-        for _ in 0..OPTIMISTIC_SNAPSHOT_RETRIES {
-            if let Some(version) = self.try_snapshot_into(out) {
-                return version;
-            }
-            std::hint::spin_loop();
-        }
-        let _latch = self.latch.read();
-        // SAFETY: the shared latch excludes latched writers and the pin
-        // excludes recycling, so the buffer is stable for the copy.
-        out.copy_from_slice(unsafe { self.bytes() });
-        self.content.load(Ordering::Acquire)
     }
 }
 

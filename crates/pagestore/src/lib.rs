@@ -51,14 +51,13 @@ pub mod wal;
 pub use cache::BufferPool;
 #[cfg(not(feature = "model"))]
 pub use commit::{Checkpointer, CheckpointerConfig};
-pub use commit::{CommitQueue, CommitQueueStats};
 pub use cost::IoCostModel;
 pub use disk::{Disk, FileId, MemStorage, PageId, PAGE_SIZE};
 pub use error::{Clock, PageError, RealClock, RetryPolicy, ScrubFinding, ScrubReport};
 pub use fault::{FaultConfig, FaultDomain, FaultFile, FaultHandle, FaultStorage};
 pub use file::{FileStorage, StorageLayout};
 pub use par::{par_map, par_map_with};
-pub use raw::{MemFile, OsFile, RawFile};
+pub use raw::{sync_dir, MemFile, OsFile, RawFile};
 pub use stats::IoStats;
 pub use storage::{PhysPage, Storage, StorageError};
 pub use wal::{Wal, WalStats, WAL_MAGIC};
@@ -216,59 +215,6 @@ impl Pager {
         self.inner.try_write_page(file, page, data)
     }
 
-    /// Opt this pager's pool in to (or out of) the concurrent write path —
-    /// optimistic lock coupling over per-frame seqlocks, the foundation of
-    /// the B⁺-tree's multi-writer `batch_insert`. Off by default: the
-    /// single-writer path (and the paper's page-access counts) stay
-    /// bit-for-bit unchanged. See [`Pager::try_with_page_mut`] and
-    /// [`VersionedPage`].
-    pub fn set_concurrent_writes(&self, on: bool) {
-        self.inner.set_concurrent_writes(on)
-    }
-
-    /// Whether the concurrent write path is enabled on this pool.
-    pub fn concurrent_writes(&self) -> bool {
-        self.inner.concurrent_writes()
-    }
-
-    /// Mutation hook for the OLC model's teeth test (model builds only):
-    /// see [`BufferPool::model_break_olc_version_check`].
-    #[cfg(feature = "model")]
-    pub fn model_break_olc_version_check(&self) {
-        self.inner.model_break_olc_version_check()
-    }
-
-    /// Pin a page for *versioned* optimistic reads — the concurrent write
-    /// path's read primitive. The returned handle holds a normal pin
-    /// (same accounting as [`Pager::try_pin_page`]) but exposes the page
-    /// only through seqlock-validated snapshots, which stay consistent
-    /// even while a latched writer mutates the frame in place.
-    pub fn try_pin_versioned(
-        &self,
-        file: FileId,
-        page: PageId,
-    ) -> Result<VersionedPage, PageError> {
-        let pinned = self.inner.try_pin_versioned_slot(file, page)?;
-        Ok(VersionedPage {
-            pinned,
-            checks: self.inner.olc_version_check_enabled(),
-        })
-    }
-
-    /// Edit a page in place under its frame write latch — the concurrent
-    /// write path's mutation primitive; see
-    /// [`BufferPool::try_with_page_mut`] for the full contract. Refused
-    /// with [`PageError::ReadOnly`] on a degraded pool, before any byte
-    /// moves.
-    pub fn try_with_page_mut<R>(
-        &self,
-        file: FileId,
-        page: PageId,
-        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
-    ) -> Result<R, PageError> {
-        self.inner.try_with_page_mut(file, page, f)
-    }
-
     /// Snapshot the I/O statistics.
     pub fn stats(&self) -> IoStats {
         self.inner.stats()
@@ -321,20 +267,13 @@ impl Pager {
         self.inner.try_sync()
     }
 
-    /// Group-committing durability barrier: concurrent callers coalesce
-    /// onto one flush + commit flip and each returns with the durable
-    /// storage epoch covering its writes. Semantically equivalent to
-    /// [`Pager::try_sync`] (same flush, same degraded-mode behaviour) but
-    /// N overlapping calls pay far fewer than N flips — see
-    /// [`crate::commit`] and the commit bench.
+    /// Commit and report the epoch: [`Pager::try_sync`], then
+    /// [`Pager::durable_epoch`]. A shim kept only for the benchmark probe
+    /// `pagestore.commit.group_sync_us`, which times a plain flip through
+    /// it; the shim goes when that probe is retired.
     pub fn group_sync(&self) -> Result<u64, PageError> {
-        self.inner.group_sync()
-    }
-
-    /// Group-commit counters (commits acknowledged, flushes actually
-    /// run, waiter high-water mark).
-    pub fn commit_queue_stats(&self) -> CommitQueueStats {
-        self.inner.commit_queue_stats()
+        self.try_sync()?;
+        Ok(self.durable_epoch())
     }
 
     /// Flush up to `max_pages` dirty frames without a commit flip — the
@@ -369,7 +308,7 @@ impl Pager {
     }
 
     /// Leave degraded read-only mode after the medium healed (clears the
-    /// sticky write-failure cause and any sticky group-commit failure).
+    /// sticky write-failure cause).
     /// Returns whether the pool was degraded. Callers should verify the
     /// medium first — [`Pager::scrub`] + [`Pager::clear_quarantine`] —
     /// since a still-broken medium re-degrades on the next write-back.
@@ -477,70 +416,6 @@ impl std::fmt::Debug for PageGuard {
     }
 }
 
-/// A pin on one cached page exposing **versioned** reads for the
-/// concurrent write path (optimistic lock coupling).
-///
-/// Obtained from [`Pager::try_pin_versioned`]. Unlike [`PageGuard`] it
-/// never hands out a borrow of the frame bytes — a latched writer
-/// ([`Pager::try_with_page_mut`]) may be mutating them in place at any
-/// moment. Instead, [`VersionedPage::snapshot_into`] copies a
-/// *seqlock-consistent* image of the page into a caller buffer and
-/// returns the content version it reflects; [`VersionedPage::validate`]
-/// later re-checks that version, which is how an OLC descent detects that
-/// a node changed under it and must restart.
-///
-/// The pin protects the frame from eviction and recycling, so the content
-/// version is always compared against the same page incarnation.
-pub struct VersionedPage {
-    pinned: PinnedSlot,
-    /// Whether snapshots/validation actually check the seqlock — always,
-    /// except under the model suite's `model_break_olc_version_check`
-    /// mutation hook.
-    checks: bool,
-}
-
-impl VersionedPage {
-    /// The page's current content version (even when no latched writer is
-    /// active).
-    pub fn version(&self) -> u64 {
-        self.pinned.slot().content_version()
-    }
-
-    /// Copy a consistent image of the page into `out` and return the
-    /// content version it reflects: a few lock-free optimistic attempts,
-    /// then a blocking shared-latch copy (so the call always succeeds and
-    /// stays finite under the model checker). Callers must not hold the
-    /// pool's policy lock.
-    pub fn snapshot_into(&self, out: &mut [u8; PAGE_SIZE]) -> u64 {
-        if !self.checks {
-            // Mutation-hook mode: raw unvalidated copy — torn reads become
-            // possible, which is exactly what the model's teeth test must
-            // catch.
-            let slot = self.pinned.slot();
-            out.copy_from_slice(self.pinned.bytes());
-            return slot.content_version();
-        }
-        self.pinned.slot().snapshot_into(out)
-    }
-
-    /// Whether the page content is still at `version` — the OLC
-    /// re-validation step: `false` means a latched writer committed (or is
-    /// committing) a change since the snapshot, and the caller must
-    /// restart its descent.
-    pub fn validate(&self, version: u64) -> bool {
-        !self.checks || self.pinned.slot().content_version() == version
-    }
-}
-
-impl std::fmt::Debug for VersionedPage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VersionedPage")
-            .field("phys", &self.pinned.slot().phys())
-            .field("version", &self.version())
-            .finish()
-    }
-}
-
 impl std::fmt::Debug for Pager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pager")
@@ -557,7 +432,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Pager>();
     assert_send_sync::<PageGuard>();
-    assert_send_sync::<VersionedPage>();
     assert_send_sync::<BufferPool>();
 };
 

@@ -25,6 +25,7 @@ use std::io;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
+use std::path::Path;
 
 /// A positioned-I/O byte file. Implementations need no internal
 /// synchronisation (`FileStorage` owns its file exclusively and all calls
@@ -153,6 +154,22 @@ impl RawFile for MemFile {
     }
 }
 
+/// Make the entries of directory `dir` durable: fsync the directory
+/// itself. POSIX makes a newly created file's *name* durable only once its
+/// parent directory is synced, however often the file's contents were.
+/// Fails if `dir` does not exist. Off unix, where a directory cannot be
+/// opened for syncing, it only checks that `dir` exists.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        File::open(dir)?.sync_all()
+    }
+    #[cfg(not(unix))]
+    {
+        std::fs::metadata(dir).map(|_| ())
+    }
+}
+
 /// `read_exact`-style positioned read from a byte image (shared with the
 /// fault wrapper).
 pub(crate) fn read_image_at(image: &[u8], offset: u64, out: &mut [u8]) -> io::Result<()> {
@@ -222,5 +239,13 @@ mod tests {
         f.read_at(4, &mut out).unwrap();
         assert_eq!(out, [0, 0], "extension must zero-fill");
         f.sync_all().unwrap();
+    }
+
+    #[test]
+    fn sync_dir_syncs_a_directory_and_refuses_a_missing_path() {
+        let dir = std::env::temp_dir();
+        sync_dir(&dir).expect("a directory syncs");
+        let missing = dir.join(format!("oif-no-such-dir-{}", std::process::id()));
+        assert!(sync_dir(&missing).is_err(), "a missing path must fail");
     }
 }

@@ -41,8 +41,7 @@ pub struct IoStats {
     /// Durability barriers issued: one per successful storage `sync`
     /// (a shadow-paged commit internally performs two device flushes,
     /// counted here as one barrier) plus every WAL fsync reported via
-    /// `note_wal`. The group-commit bench divides logical commits by
-    /// this to show amortisation.
+    /// `note_wal`.
     pub fsyncs: u64,
     /// Dirty pages flushed by the background checkpointer (a subset of
     /// [`IoStats::writes`]; disjoint from [`IoStats::synced_pages`],

@@ -3,8 +3,8 @@
 //! Production builds (the default) use `parking_lot` locks and `std`
 //! atomics — zero-cost, exactly what the code always used. Under the
 //! test-only `model` cargo feature the same names resolve to the `loom`
-//! model-checker shims, which turn every lock acquisition, atomic
-//! operation and condvar wait into a deterministic schedule point so
+//! model-checker shims, which turn every lock acquisition and atomic
+//! operation into a deterministic schedule point so
 //! `loom::model` can enumerate interleavings of the pool's latch
 //! protocols (see `tests/model.rs`).
 //!
@@ -13,10 +13,10 @@
 //! primitives from here, never from `parking_lot`/`std::sync` directly.
 
 #[cfg(feature = "model")]
-pub(crate) use loom::sync::{Condvar, Mutex, RwLock};
+pub(crate) use loom::sync::{Mutex, RwLock};
 
 #[cfg(not(feature = "model"))]
-pub(crate) use parking_lot::{Condvar, Mutex, RwLock};
+pub(crate) use parking_lot::{Mutex, RwLock};
 
 pub(crate) mod atomic {
     #[cfg(feature = "model")]

@@ -1,5 +1,5 @@
 //! Exhaustive crash sweep over the *whole* commit pipeline: WAL appends,
-//! checkpointer write-back and the group-commit superblock flip.
+//! checkpointer write-back and the commit superblock flip.
 //!
 //! The store file and the WAL file are minted from one [`FaultDomain`],
 //! so they share a single physical-op clock — "crash after op `k`" means
@@ -13,7 +13,7 @@
 //!                  write page[id-1] <- [id; PAGE_SIZE]  (in-cache only)
 //!                  catalog["max_id"] = id               (in-cache only)
 //! every 2 records: pager.checkpoint_slice(..)          (write-back, no flip)
-//!                  pager.group_sync()                   (the flip)
+//!                  pager.try_sync()                     (the flip)
 //!                  wal.reset()
 //! ```
 //!
@@ -84,7 +84,7 @@ fn run_workload(cfg: FaultConfig) -> (FaultHandle, FaultHandle, Vec<(u64, u64)>,
             // Trickle some write-back without a flip first (the
             // checkpointer's slice), then flip, then drop the log.
             pager.checkpoint_slice(1).expect("in-process checkpoint");
-            pager.group_sync().expect("in-process group commit");
+            pager.try_sync().expect("in-process commit");
             wal.reset().expect("in-process reset");
         }
     }
@@ -238,7 +238,7 @@ fn fold_recovery(
         }
     }
     pager.checkpoint_slice(1).expect("in-process checkpoint");
-    pager.group_sync().expect("in-process group commit");
+    pager.try_sync().expect("in-process commit");
     wal.reset().expect("in-process reset");
     (store_h, wal_h)
 }

@@ -344,185 +344,6 @@ fn quarantine_insert_vs_concurrent_readers() {
     });
 }
 
-/// Group commit under the checker: three committers race through the
-/// [`CommitQueue`]; in every interleaving each one must return with a
-/// durable epoch covering its ticket (no lost wakeups — a waiter that
-/// missed a notify would deadlock, which the checker detects), the
-/// flush count must never exceed the commit count (leaders batch
-/// followers), and the waiter high-water stays bounded by the committer
-/// count minus the leader.
-#[test]
-fn commit_queue_no_lost_wakeups_bounded_waiters() {
-    use pagestore::CommitQueue;
-    check_exhaustive(|| {
-        let queue = Arc::new(CommitQueue::new());
-        // Flush bookkeeping on std sync on purpose (like FaultPlan): the
-        // queue's `flushing` flag already serialises leaders, so this
-        // lock is never contended and must not add schedule points.
-        let flushes = Arc::new(StdMutex::new(0u64));
-        let flush = {
-            let flushes = flushes.clone();
-            move || {
-                let mut n = flushes.lock().expect("flush counter");
-                *n += 1;
-                Ok(*n)
-            }
-        };
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let queue = queue.clone();
-                let flush = flush.clone();
-                loom::thread::spawn(move || {
-                    let epoch = queue.commit(flush).expect("commit");
-                    assert!(epoch >= 1, "woken with a durable epoch");
-                })
-            })
-            .collect();
-        let epoch = queue.commit(flush.clone()).expect("commit");
-        assert!(epoch >= 1);
-        for w in workers {
-            w.join().expect("committer");
-        }
-        let stats = queue.stats();
-        let flushed = *flushes.lock().expect("flush counter");
-        assert_eq!(stats.commits, 3, "every committer acknowledged");
-        assert_eq!(stats.flushes, flushed, "queue counts real flushes");
-        assert!(
-            (1..=3).contains(&stats.flushes),
-            "leaders batch followers, got {} flushes",
-            stats.flushes
-        );
-        assert!(
-            stats.max_waiters <= 2,
-            "waiters bounded by committers minus the leader, got {}",
-            stats.max_waiters
-        );
-    });
-}
-
-/// A failing flush must reach *every* covered committer as the same
-/// sticky cause — in every interleaving, with no thread left waiting —
-/// and `reset_failure` must readmit commits afterwards.
-#[test]
-fn commit_queue_failure_reaches_every_committer() {
-    use pagestore::CommitQueue;
-    check_exhaustive(|| {
-        let queue = Arc::new(CommitQueue::new());
-        let worker = {
-            let queue = queue.clone();
-            loom::thread::spawn(move || {
-                let err = queue
-                    .commit(|| Err(Arc::from("dead medium")))
-                    .expect_err("flush failure must surface");
-                assert_eq!(&*err, "dead medium");
-            })
-        };
-        let err = queue
-            .commit(|| Err(Arc::from("dead medium")))
-            .expect_err("flush failure must surface");
-        assert_eq!(&*err, "dead medium");
-        worker.join().expect("committer");
-        // Heal: the sticky failure clears and commits flow again.
-        assert!(queue.reset_failure());
-        assert_eq!(queue.commit(|| Ok(9)).expect("healed"), 9);
-    });
-}
-
-/// The OLC read/write protocol: a versioned reader racing a latched
-/// in-place writer must, in every interleaving, come back with a snapshot
-/// that is (a) whole — all-old or all-new bytes, never a mix, (b) stamped
-/// with an even (quiescent) content version, and (c) *current* whenever
-/// the version still validates after the writer committed. This is the
-/// exact contract the B⁺-tree's optimistic descents rest on.
-#[test]
-fn olc_snapshot_vs_latched_writer_stays_consistent() {
-    check_exhaustive(|| {
-        let pager = Pager::with_cache_bytes(2 * PAGE_SIZE);
-        pager.set_concurrent_writes(true);
-        let f = pager.create_file();
-        pager.allocate_page(f);
-        pager.write_page(f, 0, &pattern(0xAA));
-
-        let writer = {
-            let pager = pager.clone();
-            loom::thread::spawn(move || {
-                pager
-                    .try_with_page_mut(f, 0, |b| b.fill(0xCC))
-                    .expect("latched in-place edit");
-            })
-        };
-        let vp = pager.try_pin_versioned(f, 0).expect("versioned pin");
-        let mut snap = Box::new([0u8; PAGE_SIZE]);
-        let v = vp.snapshot_into(&mut snap);
-        assert_eq!(v & 1, 0, "snapshot stamped with a mid-write version");
-        let first = snap[0];
-        assert!(
-            snap.iter().all(|&b| b == first),
-            "torn snapshot: mixed bytes"
-        );
-        assert!(
-            first == 0xAA || first == 0xCC,
-            "impossible bytes {first:#x}"
-        );
-        writer.join().expect("writer");
-        // The writer has committed: a version that still validates proves
-        // the snapshot already was the committed image.
-        if vp.validate(v) {
-            assert_eq!(first, 0xCC, "validated snapshot must be current");
-        }
-        pager.with_page(f, 0, |b| assert_eq!(b[0], 0xCC));
-    });
-}
-
-/// Mutation teeth for the OLC protocol: disabling the reader's seqlock
-/// validation (via the `model`-only hook) must make the checker find a
-/// schedule where the raw copy lands mid-write — caught deterministically,
-/// with a replayable schedule string.
-#[test]
-fn mutation_disabled_olc_version_check_is_caught() {
-    fn body() {
-        let pager = Pager::with_cache_bytes(2 * PAGE_SIZE);
-        pager.set_concurrent_writes(true);
-        pager.model_break_olc_version_check();
-        let f = pager.create_file();
-        pager.allocate_page(f);
-        pager.write_page(f, 0, &pattern(0xAA));
-        let writer = {
-            let pager = pager.clone();
-            loom::thread::spawn(move || {
-                pager
-                    .try_with_page_mut(f, 0, |b| b.fill(0xCC))
-                    .expect("latched in-place edit");
-            })
-        };
-        let vp = pager.try_pin_versioned(f, 0).expect("versioned pin");
-        let mut snap = Box::new([0u8; PAGE_SIZE]);
-        let v = vp.snapshot_into(&mut snap);
-        assert_eq!(v & 1, 0, "snapshot stamped with a mid-write version");
-        writer.join().expect("writer");
-    }
-
-    let run = || loom::Builder::new().preemption_bound(2).check_result(body);
-    let failure = run().expect_err("unvalidated snapshots must yield a failing schedule");
-    assert!(
-        !failure.schedule.is_empty(),
-        "failure must carry a replayable schedule"
-    );
-
-    // Determinism: a second full exploration finds the same schedule with
-    // the same diagnosis.
-    let again = run().expect_err("second run must fail too");
-    assert_eq!(failure.schedule, again.schedule, "search is deterministic");
-    assert_eq!(failure.message, again.message);
-
-    // And the recorded schedule replays byte-for-byte to the same failure.
-    let replayed = loom::Builder::new()
-        .replay(&failure.schedule)
-        .check_result(body)
-        .expect_err("replay must reproduce the failure");
-    assert_eq!(replayed.message, failure.message);
-}
-
 /// The degraded read-only flip vs. in-flight writes: once a write-back
 /// fails, the pool flips to read-only. Concurrent mutations must each
 /// either complete in-cache or fail with [`PageError::ReadOnly`] — never

@@ -38,7 +38,9 @@ pub use planner::{estimated_pages, IndexKind, PlannerMode};
 pub use shard::ShardHealth;
 
 use datagen::{Dataset, ItemId, QueryKind, Record};
-use pagestore::{FileStorage, OsFile, PageError, Pager, RawFile, StorageError, PAGE_SIZE};
+use pagestore::{
+    sync_dir, FileStorage, OsFile, PageError, Pager, RawFile, StorageError, PAGE_SIZE,
+};
 use shard::Shard;
 use std::path::Path;
 
@@ -353,7 +355,8 @@ impl Service {
     /// Build durably: one `FileStorage` per shard, files `shard-<i>.db`
     /// under `dir` (created if missing), plus one write-ahead log
     /// `shard-<i>.wal` per shard so single-record ingest is durable
-    /// between checkpoints.
+    /// between checkpoints. `dir` is synced once every file exists, so
+    /// the new directory entries are durable as well.
     pub fn build_dir(
         dataset: &Dataset,
         config: ServiceConfig,
@@ -372,6 +375,10 @@ impl Service {
             let file = open_wal_file(&dir.join(format!("shard-{i}.wal")), true)?;
             svc.attach_wal(i, file)?;
         }
+        // Every shard file now exists; make their directory entries
+        // durable too, or a crash could lose a file whose contents were
+        // already synced.
+        sync_dir(dir)?;
         Ok(svc)
     }
 

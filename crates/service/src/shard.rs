@@ -246,7 +246,9 @@ impl Shard {
     /// in it: records with ids above the shard's persisted max (the replay
     /// filter that makes a crash between "checkpoint commit" and "log
     /// reset" harmless) are folded back into the inverted file. Returns
-    /// how many records were replayed.
+    /// how many records were replayed. A page fault during the replay —
+    /// e.g. a pool that refuses writes — is returned as
+    /// [`StorageError::Io`] naming the shard, and no WAL is attached.
     pub(crate) fn attach_wal(&mut self, file: Box<dyn RawFile>) -> Result<usize, StorageError> {
         let (wal, payloads) = Wal::open(file)?;
         let mut batch = Vec::new();
@@ -273,7 +275,12 @@ impl Shard {
         }
         let replayed = batch.len();
         if !batch.is_empty() {
-            self.apply_insert(&batch);
+            self.try_apply_insert(&batch).map_err(|e| {
+                StorageError::Io(std::io::Error::other(format!(
+                    "shard {} wal replay failed: {e}",
+                    self.id
+                )))
+            })?;
         }
         self.wal = Some(Mutex::new(wal));
         Ok(replayed)
@@ -303,17 +310,10 @@ impl Shard {
     }
 
     /// Apply pre-validated, id-sorted fresh records through the inverted
-    /// file and drop the now-stale ordered structures. Panics on a page
-    /// fault; [`Shard::try_apply_insert`] is the fallible twin.
-    pub(crate) fn apply_insert(&mut self, batch: &[Record]) {
-        self.try_apply_insert(batch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Shard::apply_insert`]. On error no statistic or
-    /// planner state has changed — the inverted file's two-phase batch
-    /// leaves reads exact — so the shard keeps serving while the caller
-    /// surfaces the typed fault.
+    /// file and drop the now-stale ordered structures. On error no
+    /// statistic or planner state has changed — the inverted file's
+    /// two-phase batch leaves reads exact — so the shard keeps serving
+    /// while the caller surfaces the typed fault.
     pub(crate) fn try_apply_insert(&mut self, batch: &[Record]) -> Result<(), PageError> {
         let inv = self.inv.as_mut().expect("write path requires an IF");
         inv.try_batch_insert(batch, 1)?;

@@ -19,8 +19,10 @@
 //!   ids emptied); budget ≥ 1 serves them flagged.
 
 use set_containment::datagen::{brute, Dataset, QueryKind, Record, SyntheticSpec, WorkloadSpec};
+use set_containment::invfile::wal::encode_insert;
 use set_containment::pagestore::{
     Clock, FaultConfig, FaultFile, FaultHandle, FaultStorage, FileStorage, MemFile, Pager,
+    StorageError, Wal,
 };
 use set_containment::service::{
     shard_of, IndexKind, InsertError, PlannerMode, Query, Service, ServiceConfig,
@@ -391,6 +393,41 @@ fn wal_ingest_survives_crash_and_replays_exactly_once() {
     svc.try_insert(&[Record::new(id_c, vec![0, 3])])
         .expect("insert after replay");
     assert!(svc.query(QueryKind::Subset, &[0, 3]).ids.contains(&id_c));
+}
+
+#[test]
+fn wal_replay_onto_a_refusing_pool_is_a_typed_error() {
+    let d = dataset();
+    let (mut svc, store_handles) = faultable_service(&d, ServiceConfig::new().shards(1));
+
+    // A log holding one acknowledged insert the store never saw.
+    let (wal_file, wal_handle) = FaultFile::new(FaultConfig::default());
+    let mut wal = Wal::create(Box::new(wal_file)).expect("wal create");
+    wal.append(&encode_insert(&Record::new(4_000_000, vec![0, 3])))
+        .expect("wal append");
+    wal.sync().expect("wal sync");
+
+    // The store's medium refuses a commit, which degrades the pool: from
+    // then on it refuses every write.
+    store_handles[0].set_fault_config(FaultConfig {
+        transient_writes: (0..100_000).collect(),
+        ..FaultConfig::default()
+    });
+    assert!(svc.shard_pager(0).try_sync().is_err());
+    assert!(svc.shard_pager(0).degraded().is_some());
+
+    let before = svc.num_records();
+    let err = svc
+        .attach_wal(0, Box::new(MemFile::from_bytes(wal_handle.disk_image())))
+        .expect_err("replay onto a refusing pool must fail");
+    assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
+    assert!(err.to_string().contains("wal replay"), "got: {err}");
+    assert_eq!(
+        svc.num_records(),
+        before,
+        "a refused replay applies nothing"
+    );
+    assert_all_exact(&svc, &oracle_batch(&d), "after refused replay");
 }
 
 #[test]
